@@ -41,7 +41,7 @@ from .terms import (
     parse,
     partial_leq,
 )
-from .reduce import Step, apply_step, find_redexes, normalize
+from .reduce import Step, apply_step, normalize, redex_at
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
@@ -202,8 +202,7 @@ def approximate_step(
     if alpha_eq(before_hat, after_hat):
         return Collapsed(before_hat)
 
-    redexes = {r.position: r for r in find_redexes(before_hat, oracle.calculus, step.level)}
-    r = redexes.get(step.position)
+    r = redex_at(before_hat, step.position, oracle.calculus, step.level)
     if r is None or r.rule != step.rule:
         raise AssertionError(
             "redex did not survive in the approximant of a meaningful prefix"
@@ -225,8 +224,7 @@ def lift_step(step: Step, refined: Term, calculus: str) -> Step:
     """
     if not partial_leq(step.before, refined):
         raise ValueError("term does not refine the step's source")
-    redexes = {r.position: r for r in find_redexes(refined, calculus, step.level)}
-    r = redexes.get(step.position)
+    r = redex_at(refined, step.position, calculus, step.level)
     if r is None or r.rule != step.rule:
         raise AssertionError("redex vanished under refinement")
     lifted = apply_step(refined, r, calculus)

@@ -45,12 +45,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _fuel(text: str) -> int:
+    """At most this many steps per normalization; a natural number."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"fuel must be a natural number, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, level=False, fuel=True):
     p.add_argument("--calculus", choices=[CBV, CBN], default=CBV)
     if level:
         p.add_argument("--level", default="omega")
     if fuel:
-        p.add_argument("--fuel", type=int, default=None)
+        p.add_argument("--fuel", type=_fuel, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

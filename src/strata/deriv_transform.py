@@ -179,6 +179,38 @@ def _map_names(t: Term, mapping: tuple[tuple[str, str], ...]) -> Term:
             return t
 
 
+def _retarget(d: Derivation, target: Term) -> Derivation:
+    """Rename a derivation of an alpha-variant of target so that every
+    node types the matching subterm of target itself, binder names
+    included."""
+
+    def go(d: Derivation, t: Term, names: tuple[tuple[str, str], ...]) -> Derivation:
+        env = {}
+        for k, m in d.env:
+            for a, b in reversed(names):
+                if a == k:
+                    k = b
+                    break
+            env[k] = m
+        match d.rule, t:
+            case "var", Var(_):
+                premises = ()
+            case "abs", Abs(y, b):
+                inner = names + ((d.term.binder, y),)
+                premises = tuple(go(p, b, inner) for p in d.premises)
+            case "app", App(f, a):
+                premises = (go(d.premises[0], f, names),) + tuple(
+                    go(p, a, names) for p in d.premises[1:])
+            case "es", Es(b, y, a):
+                premises = (go(d.premises[0], b, names + ((d.term.binder, y),)),) + tuple(
+                    go(p, a, names) for p in d.premises[1:])
+            case _:
+                raise TransformError("derivation out of step with the term")
+        return mk(d.rule, env, t, d.ty, premises)
+
+    return go(d, target, ())
+
+
 # ---------------------------------------------------------------------------
 # Splitting and merging derivations of values (system V)
 
@@ -537,6 +569,9 @@ def _expand_sn(d: Derivation, before_sub: Term) -> Derivation:
     x = before_sub.binder
     u = before_sub.arg
     db, collected = _anti_subst(d, before_sub.body, x, SYS_N)
+    # the occurrences may type alpha-variants of u: the argument
+    # premises must type u itself
+    collected = [_retarget(c, u) for c in collected]
     _, rest = env_minus(db.env_dict, x)
     env = env_sum(rest, *(c.env_dict for c in collected))
     out = mk("es", env, Es(db.term, x, u), d.ty, (db,) + tuple(collected))

@@ -29,7 +29,7 @@ from .terms import (
     bot_positions,
     level_of,
 )
-from .reduce import find_redexes
+from .reduce import min_redex_level
 
 VR = "vr"
 NE = "ne"
@@ -120,13 +120,14 @@ def classify_nf(t: Term, calculus: str, k: Level) -> str:
 
 def is_normal(t: Term, calculus: str, k: Level) -> bool:
     """Reduction-based normality: no redex at level k or below."""
-    return not find_redexes(t, calculus, k)
+    lvl = min_redex_level(t, calculus)
+    return lvl is None or lvl > k
 
 
 def is_bno(t: Term, calculus: str, k: Level) -> bool:
     """Membership in the level-k normal forms of the partial calculus:
     no level-k redex and every bot sits strictly below level k."""
-    if find_redexes(t, calculus, k):
+    if not is_normal(t, calculus, k):
         return False
     return all(level_of(t, p, calculus) > k for p in bot_positions(t))
 

@@ -14,14 +14,21 @@ level k contracts only redexes whose level is at most k; level omega
 lifts the gate entirely.
 
 The default strategy is leftmost-outermost: the redex whose position
-comes first in the pre-order traversal.
+comes first in the pre-order traversal.  The search for it descends
+from the root along the cached node summaries of ``strata.summary``,
+into the leftmost child whose subterm holds a redex the level lets
+through, so a step costs time in the depth of the redex, not in the
+size of the term.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
+from .summary import ABS, CORE, NO_REDEX, OTHER, fingerprint, min_level_field, summary
 from .terms import (
     CBN,
     CBV,
@@ -29,6 +36,7 @@ from .terms import (
     App,
     Es,
     Level,
+    OMEGA,
     Position,
     Term,
     canonical,
@@ -115,13 +123,73 @@ def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
 def min_redex_level(t: Term, calculus: str) -> Level | None:
     """The smallest level at which t has a redex, or None if t is normal
     even at level omega."""
-    best: Level | None = None
-    for pos, s in subterms(t):
-        if _rule_at(s, calculus) is not None:
-            lvl = level_of(t, pos, calculus)
-            if best is None or lvl < best:
-                best = lvl
-    return best
+    lvl = summary(t)[min_level_field(calculus)]
+    return None if lvl == NO_REDEX else float(lvl)
+
+
+# The deepest level a redex can have: level omega lets through every
+# redex but is no gate for NO_REDEX, which lies beyond it.
+_LAST_LEVEL = sys.float_info.max
+
+
+def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
+    """The first redex of find_redexes(t, calculus, level), or None.
+
+    Descends from the root: at each node that is not itself the redex,
+    into the leftmost child whose summary promises a redex within the
+    level.  Only the returned redex gets a position tuple."""
+    field = min_level_field(calculus)
+    by_value = calculus == CBV
+    gate = min(level, _LAST_LEVEL)
+    if summary(t)[field] > gate:
+        return None
+    # invariant: t holds a redex at level at most gate, counting depth
+    # for the edges crossed to reach t
+    path: list[str] = []
+    depth = 0
+    while True:
+        kind = type(t)
+        if kind is App:
+            f = t.fun
+            if f._summary[CORE] == ABS:
+                return Redex(tuple(path), DB, float(depth))
+            if depth + f._summary[field] <= gate:
+                path.append("l")
+                t = f
+            else:
+                path.append("r")
+                t = t.arg
+                if not by_value:
+                    depth += 1
+        elif kind is Es:
+            if not by_value:
+                return Redex(tuple(path), SN, float(depth))
+            if t.arg._summary[CORE] != OTHER:
+                return Redex(tuple(path), SV, float(depth))
+            if depth + t.body._summary[field] <= gate:
+                path.append("s")
+                t = t.body
+            else:
+                path.append("e")
+                t = t.arg
+        else:  # an abstraction: leaves hold no redex
+            path.append("b")
+            t = t.body
+            if by_value:
+                depth += 1
+
+
+def redex_at(t: Term, position: Position, calculus: str, level: Level) -> Redex | None:
+    """The redex at a position of t, if there is one and the level lets
+    it through; None otherwise, also for a position not in t."""
+    try:
+        rule = _rule_at(subterm_at(t, position), calculus)
+    except ValueError:
+        return None
+    if rule is None:
+        return None
+    lvl = level_of(t, position, calculus)
+    return Redex(position, rule, lvl) if lvl <= level else None
 
 
 def _rebuild_spine(spine: list[tuple[str, Term]], core: Term) -> Term:
@@ -197,10 +265,8 @@ def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
 
 def reduce_once(t: Term, calculus: str, level: Level) -> Step | None:
     """One leftmost-outermost step at the given level, or None if normal."""
-    redexes = find_redexes(t, calculus, level)
-    if not redexes:
-        return None
-    return apply_step(t, redexes[0], calculus)
+    redex = leftmost_redex(t, calculus, level)
+    return None if redex is None else apply_step(t, redex, calculus)
 
 
 @dataclass(frozen=True)
@@ -224,25 +290,58 @@ class Trace:
         return self.steps[-1].after if self.steps else self.start
 
 
-def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
-    """Reduce with the leftmost-outermost strategy until a normal form,
-    a repeated term (up to alpha), or fuel exhaustion."""
+def _run(
+    t: Term, calculus: str, level: Level, fuel: int | None,
+    find: Callable[[Term], Redex | None],
+    contract: Callable[[Term, Redex], Step],
+) -> Trace:
+    """The normalization loop: contract the redex find picks until
+    there is none (normal), a term repeats up to alpha (cycle), or fuel
+    steps are taken and a redex is left (fuel).
+
+    Only terms with equal fingerprints are compared, by their canonical
+    keys, so the first repeat found is the one canonical keys find."""
     if fuel is None:
         fuel = default_fuel()
-    seen = {canonical(t): 0}
+    if fuel < 0:
+        raise ValueError(f"fuel must be a natural number, got {fuel}")
     steps: list[Step] = []
+    by_fingerprint = {fingerprint(t): [0]}
+    keys: dict[int, tuple] = {}  # canonical keys of the compared terms
+
+    def key(i: int) -> tuple:
+        if i not in keys:
+            keys[i] = canonical(steps[i - 1].after if i else t)
+        return keys[i]
+
     cur = t
-    for _ in range(fuel):
-        step = reduce_once(cur, calculus, level)
-        if step is None:
+    while True:
+        redex = find(cur)
+        if redex is None:
             return Trace(t, calculus, level, tuple(steps), "normal")
+        if len(steps) == fuel:
+            return Trace(t, calculus, level, tuple(steps), "fuel")
+        step = contract(cur, redex)
         steps.append(step)
         cur = step.after
-        key = canonical(cur)
-        if key in seen:
-            return Trace(t, calculus, level, tuple(steps), "cycle", seen[key])
-        seen[key] = len(steps)
-    return Trace(t, calculus, level, tuple(steps), "fuel")
+        n = len(steps)
+        same_shape = by_fingerprint.setdefault(fingerprint(cur), [])
+        for i in same_shape:
+            if key(i) == key(n):
+                return Trace(t, calculus, level, tuple(steps), "cycle", i)
+        same_shape.append(n)
+
+
+def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
+    """Reduce with the leftmost-outermost strategy until a normal form,
+    a repeated term (up to alpha), or fuel exhaustion.
+
+    At most fuel steps are taken; a term that is normal when the fuel
+    runs out, fuel 0 included, reports "normal".  Negative fuel is a
+    ValueError."""
+    return _run(t, calculus, level, fuel,
+                lambda cur: leftmost_redex(cur, calculus, level),
+                lambda cur, redex: apply_step(cur, redex, calculus))
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +362,17 @@ def plotkin_redexes(t: Term) -> list[Redex]:
     return out
 
 
+def _plotkin_contract(t: Term, redex: Redex) -> Step:
+    sub = subterm_at(t, redex.position)
+    assert isinstance(sub, App) and isinstance(sub.fun, Abs)
+    after = replace_at(t, redex.position, subst(sub.fun.body, sub.fun.binder, sub.arg))
+    return Step(t, after, redex.position, BETA_V, 0.0)
+
+
 def plotkin_normalize(t: Term, fuel: int | None = None) -> Trace:
-    if fuel is None:
-        fuel = default_fuel()
-    seen = {canonical(t): 0}
-    steps: list[Step] = []
-    cur = t
-    for _ in range(fuel):
-        redexes = plotkin_redexes(cur)
-        if not redexes:
-            return Trace(t, CBV, 0.0, tuple(steps), "normal")
-        pos = redexes[0].position
-        sub = subterm_at(cur, pos)
-        assert isinstance(sub, App) and isinstance(sub.fun, Abs)
-        after = replace_at(cur, pos, subst(sub.fun.body, sub.fun.binder, sub.arg))
-        steps.append(Step(cur, after, pos, BETA_V, 0.0))
-        cur = after
-        key = canonical(cur)
-        if key in seen:
-            return Trace(t, CBV, 0.0, tuple(steps), "cycle", seen[key])
-        seen[key] = len(steps)
-    return Trace(t, CBV, 0.0, tuple(steps), "fuel")
+    return _run(t, CBV, 0.0, fuel,
+                lambda cur: next(iter(plotkin_redexes(cur)), None),
+                _plotkin_contract)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +405,7 @@ def trace_to_dict(tr: Trace) -> dict:
 
 def step_from_dict(d: dict, calculus: str) -> Step:
     before = parse(d["before"])
-    pos = tuple(d["position"])
-    redexes = {r.position: r for r in find_redexes(before, calculus, float("inf"))}
-    if pos not in redexes or redexes[pos].rule != d["rule"]:
+    redex = redex_at(before, tuple(d["position"]), calculus, OMEGA)
+    if redex is None or redex.rule != d["rule"]:
         raise ValueError("recorded step does not match a redex of its term")
-    step = apply_step(before, redexes[pos], calculus)
-    return step
+    return apply_step(before, redex, calculus)

@@ -33,25 +33,33 @@ CBN = "cbn"
 Position = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Var:
+class Node:
+    """Base of the term classes.  It reserves the slot in which
+    ``strata.summary`` caches a node's summary; construction leaves the
+    slot empty."""
+
+    __slots__ = ("_summary",)
+
+
+@dataclass(frozen=True, slots=True)
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(frozen=True, slots=True)
+class Abs(Node):
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, slots=True)
+class App(Node):
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Es:
+@dataclass(frozen=True, slots=True)
+class Es(Node):
     """Explicit substitution ``body[binder\\arg]``; binder scopes over body."""
 
     body: "Term"
@@ -59,13 +67,13 @@ class Es:
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Bot:
+@dataclass(frozen=True, slots=True)
+class Bot(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Hole:
+@dataclass(frozen=True, slots=True)
+class Hole(Node):
     pass
 
 
@@ -139,41 +147,42 @@ def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
                 pass
 
 
+# the child each edge leads to, by node class
+_EDGE_CHILD = {(Abs, "b"): "body", (App, "l"): "fun", (App, "r"): "arg",
+               (Es, "s"): "body", (Es, "e"): "arg"}
+
+
 def subterm_at(t: Term, pos: Position) -> Term:
     for edge in pos:
-        match t, edge:
-            case Abs(_, b), "b":
-                t = b
-            case App(f, _), "l":
-                t = f
-            case App(_, a), "r":
-                t = a
-            case Es(b, _, _), "s":
-                t = b
-            case Es(_, _, a), "e":
-                t = a
-            case _:
-                raise ValueError(f"position {''.join(pos)} not in term")
+        child = _EDGE_CHILD.get((type(t), edge))
+        if child is None:
+            raise ValueError(f"position {''.join(pos)} not in term")
+        t = getattr(t, child)
     return t
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    edge, rest = pos[0], pos[1:]
-    match t, edge:
-        case Abs(x, b), "b":
-            return Abs(x, replace_at(b, rest, new))
-        case App(f, a), "l":
-            return App(replace_at(f, rest, new), a)
-        case App(f, a), "r":
-            return App(f, replace_at(a, rest, new))
-        case Es(b, x, a), "s":
-            return Es(replace_at(b, rest, new), x, a)
-        case Es(b, x, a), "e":
-            return Es(b, x, replace_at(a, rest, new))
-        case _:
+    """t with the subterm at pos replaced by new; only the nodes on the
+    path to pos are rebuilt."""
+    path = []
+    for edge in pos:
+        child = _EDGE_CHILD.get((type(t), edge))
+        if child is None:
             raise ValueError(f"position {''.join(pos)} not in term")
+        path.append(t)
+        t = getattr(t, child)
+    for node, edge in zip(reversed(path), reversed(pos)):
+        if edge == "b":
+            new = Abs(node.binder, new)
+        elif edge == "l":
+            new = App(new, node.arg)
+        elif edge == "r":
+            new = App(node.fun, new)
+        elif edge == "s":
+            new = Es(new, node.binder, node.arg)
+        else:
+            new = Es(node.body, node.binder, new)
+    return new
 
 
 def level_of(t: Term, pos: Position, calculus: str) -> Level:
