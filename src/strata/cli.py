@@ -2,7 +2,8 @@
 
 Exit codes, uniformly: 0 for success / equal / pass, 1 for a negative
 or violated result, 2 when the question could not be decided within
-the budget, 3 for usage errors (bad syntax, bad flags).
+the budget, 3 for usage errors (bad syntax, bad flags, unreadable
+files).
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

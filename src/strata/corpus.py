@@ -8,13 +8,9 @@ from typing import Iterator
 from .terms import BOT, HOLE, Abs, App, Es, Term, Var
 
 
-def enumerate_terms(
-    max_size: int,
-    frees: tuple[str, ...] = ("x", "y"),
-    include_bot: bool = False,
-) -> Iterator[Term]:
-    """All terms up to the given size over the free variables, one per
-    alpha-class (binders are named canonically by depth)."""
+def _terms_by_size(frees: tuple[str, ...], include_bot: bool):
+    """The memoized table of enumerate_terms: at(size, depth) lists the
+    terms of that size under depth binders named b0, b1, ..."""
     memo: dict[tuple[int, int], list[Term]] = {}
 
     def at(size: int, depth: int) -> list[Term]:
@@ -39,6 +35,17 @@ def enumerate_terms(
         memo[key] = out
         return out
 
+    return at
+
+
+def enumerate_terms(
+    max_size: int,
+    frees: tuple[str, ...] = ("x", "y"),
+    include_bot: bool = False,
+) -> Iterator[Term]:
+    """All terms up to the given size over the free variables, one per
+    alpha-class (binders are named canonically by depth)."""
+    at = _terms_by_size(frees, include_bot)
     for size in range(1, max_size + 1):
         yield from at(size, 0)
 
@@ -47,28 +54,8 @@ def enumerate_contexts(
     max_size: int, frees: tuple[str, ...] = ("x", "y")
 ) -> Iterator[Term]:
     """All one-hole contexts up to the given size, smallest first."""
-    term_memo: dict[tuple[int, int], list[Term]] = {}
+    terms = _terms_by_size(frees, False)
     ctx_memo: dict[tuple[int, int], list[Term]] = {}
-
-    def terms(size: int, depth: int) -> list[Term]:
-        key = (size, depth)
-        if key in term_memo:
-            return term_memo[key]
-        out: list[Term] = []
-        if size == 1:
-            out.extend(Var(v) for v in frees)
-            out.extend(Var(f"b{i}") for i in range(depth))
-        else:
-            binder = f"b{depth}"
-            out.extend(Abs(binder, b) for b in terms(size - 1, depth + 1))
-            for i in range(1, size - 1):
-                j = size - 1 - i
-                out.extend(App(f, a) for f in terms(i, depth) for a in terms(j, depth))
-                out.extend(
-                    Es(b, binder, a) for b in terms(i, depth + 1) for a in terms(j, depth)
-                )
-        term_memo[key] = out
-        return out
 
     def ctxs(size: int, depth: int) -> list[Term]:
         key = (size, depth)

@@ -24,10 +24,9 @@ from .terms import (
     Var,
     alpha_eq,
     free_vars,
-    fresh_name,
+    freshen,
     hole_positions,
     plug,
-    rename_free,
     subst,
     subterm_at,
 )
@@ -60,155 +59,36 @@ class GenericityContradiction(ValueError):
 # Alpha-renaming inside derivations
 
 
-def _deriv_names(d: Derivation) -> set[str]:
-    names: set[str] = set()
-
-    def go(d: Derivation):
-        names.update(k for k, _ in d.env)
-        stack = [d.term]
-        while stack:
-            t = stack.pop()
-            match t:
-                case Var(x):
-                    names.add(x)
-                case Abs(x, b):
-                    names.add(x)
-                    stack.append(b)
-                case App(f, a):
-                    stack.extend((f, a))
-                case Es(b, x, a):
-                    names.add(x)
-                    stack.extend((b, a))
-                case _:
-                    pass
-        for p in d.premises:
-            go(p)
-
-    go(d)
-    return names
-
-
-def _rename_free_deriv(d: Derivation, old: str, new: str) -> Derivation:
-    """Rename a free variable throughout a derivation; new must be fresh."""
-    term = rename_free(d.term, old, new)
-    env = {(new if k == old else k): v for k, v in d.env}
-    match d.rule:
-        case "var":
-            premises = ()
-        case "abs":
-            binder = d.term.binder
-            if binder == old:
-                premises = d.premises
-            else:
-                premises = tuple(_rename_free_deriv(p, old, new) for p in d.premises)
-        case "app":
-            premises = tuple(_rename_free_deriv(p, old, new) for p in d.premises)
-        case "es":
-            binder = d.term.binder
-            body = d.premises[0]
-            if binder != old:
-                body = _rename_free_deriv(body, old, new)
-            premises = (body,) + tuple(
-                _rename_free_deriv(p, old, new) for p in d.premises[1:]
-            )
-        case r:
-            raise TransformError(f"unknown rule {r}")
-    return mk(d.rule, env, term, d.ty, premises)
-
-
-def _freshen_deriv_binders(d: Derivation, forbidden: frozenset[str]) -> Derivation:
-    """Rename every binder of the typed skeleton that clashes with
-    forbidden names.  Terms are rebuilt bottom-up from the premises so
-    the tree stays internally consistent; abstraction bodies with an
-    empty premise family are left alone (meta-substitution will handle
-    them on its own)."""
-
-    def go(d: Derivation) -> Derivation:
-        match d.rule:
-            case "var":
-                return d
-            case "abs":
-                x = d.term.binder
-                premises = d.premises
-                if premises and x in forbidden:
-                    x2 = fresh_name(x, forbidden | _deriv_names(d))
-                    premises = tuple(_rename_free_deriv(p, x, x2) for p in premises)
-                    x = x2
-                premises = tuple(go(p) for p in premises)
-                body = premises[0].term if premises else d.term.body
-                return mk(d.rule, d.env_dict, Abs(x, body), d.ty, premises)
-            case "app":
-                premises = tuple(go(p) for p in d.premises)
-                arg = premises[1].term if len(premises) > 1 else d.term.arg
-                return mk(d.rule, d.env_dict, App(premises[0].term, arg), d.ty, premises)
-            case "es":
-                x = d.term.binder
-                body = d.premises[0]
-                if x in forbidden:
-                    x2 = fresh_name(x, forbidden | _deriv_names(d))
-                    body = _rename_free_deriv(body, x, x2)
-                    x = x2
-                body = go(body)
-                rest = tuple(go(p) for p in d.premises[1:])
-                arg = rest[0].term if rest else d.term.arg
-                return mk(d.rule, d.env_dict, Es(body.term, x, arg), d.ty, (body,) + rest)
-            case r:
-                raise TransformError(f"unknown rule {r}")
-
-    return go(d)
-
-
-def _map_names(t: Term, mapping: tuple[tuple[str, str], ...]) -> Term:
-    """Rename free variables by a (source, target) list, innermost pair
-    winning, stopping below a rebinding of the source name."""
-    match t:
-        case Var(x):
-            for a, b in reversed(mapping):
-                if a == x:
-                    return Var(b)
-            return t
-        case Abs(x, b):
-            inner = tuple(p for p in mapping if p[0] != x)
-            return Abs(x, _map_names(b, inner))
-        case App(f, a):
-            return App(_map_names(f, mapping), _map_names(a, mapping))
-        case Es(b, x, a):
-            inner = tuple(p for p in mapping if p[0] != x)
-            return Es(_map_names(b, inner), x, _map_names(a, mapping))
-        case _:
-            return t
-
-
 def _retarget(d: Derivation, target: Term) -> Derivation:
     """Rename a derivation of an alpha-variant of target so that every
     node types the matching subterm of target itself, binder names
     included."""
 
-    def go(d: Derivation, t: Term, names: tuple[tuple[str, str], ...]) -> Derivation:
-        env = {}
-        for k, m in d.env:
-            for a, b in reversed(names):
-                if a == k:
-                    k = b
-                    break
-            env[k] = m
+    def go(d: Derivation, t: Term, names: dict[str, str]) -> Derivation:
+        env = {names.get(k, k): m for k, m in d.env}
         match d.rule, t:
             case "var", Var(_):
                 premises = ()
             case "abs", Abs(y, b):
-                inner = names + ((d.term.binder, y),)
+                inner = {**names, d.term.binder: y}
                 premises = tuple(go(p, b, inner) for p in d.premises)
             case "app", App(f, a):
                 premises = (go(d.premises[0], f, names),) + tuple(
                     go(p, a, names) for p in d.premises[1:])
             case "es", Es(b, y, a):
-                premises = (go(d.premises[0], b, names + ((d.term.binder, y),)),) + tuple(
+                premises = (go(d.premises[0], b, {**names, d.term.binder: y}),) + tuple(
                     go(p, a, names) for p in d.premises[1:])
             case _:
                 raise TransformError("derivation out of step with the term")
         return mk(d.rule, env, t, d.ty, premises)
 
-    return go(d, target, ())
+    return go(d, target, {})
+
+
+def _freshen_deriv(d: Derivation, clash: frozenset[str]) -> Derivation:
+    """d with the binders of its term that are in clash renamed."""
+    t = freshen(d.term, clash)
+    return d if t is d.term else _retarget(d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +160,7 @@ def _subst_deriv_v(db: Derivation, x: str, dv: Derivation) -> Derivation:
     """Rebuild a derivation of t{x:=v} from one of t, splitting the
     value derivation across the occurrences of x."""
     v = dv.term
-    db = _freshen_deriv_binders(db, free_vars(v) | {x})
+    db = _freshen_deriv(db, free_vars(v) | {x})
     pool = [dv]
 
     def go(d: Derivation) -> Derivation:
@@ -293,7 +173,7 @@ def _subst_deriv_v(db: Derivation, x: str, dv: Derivation) -> Derivation:
                 return taken
             case "abs":
                 if not d.premises:
-                    return mk("abs", {}, subst(d.term, x, v), d.ty)
+                    return mk("abs", {}, subst(d.term, {x: v}), d.ty)
                 y = d.term.binder
                 ps = tuple(go(p) for p in d.premises)
                 env = env_sum(*(env_minus(p.env_dict, y)[1] for p in ps))
@@ -332,7 +212,7 @@ def _subst_deriv_v(db: Derivation, x: str, dv: Derivation) -> Derivation:
 def _subst_deriv_n(db: Derivation, x: str, u: Term, args: list[Derivation]) -> Derivation:
     """Rebuild a derivation of t{x:=u} from one of t, handing one
     argument derivation to each typed occurrence of x."""
-    db = _freshen_deriv_binders(db, free_vars(u) | {x})
+    db = _freshen_deriv(db, free_vars(u) | {x})
     pool = list(args)
 
     def go(d: Derivation) -> Derivation:
@@ -352,14 +232,14 @@ def _subst_deriv_n(db: Derivation, x: str, u: Term, args: list[Derivation]) -> D
                 return mk("abs", rest, Abs(y, p.term), d.ty, (p,))
             case "app":
                 ps = tuple(go(p) for p in d.premises)
-                arg = ps[1].term if len(ps) > 1 else subst(d.term.arg, x, u)
+                arg = ps[1].term if len(ps) > 1 else subst(d.term.arg, {x: u})
                 env = env_sum(*(p.env_dict for p in ps))
                 return mk("app", env, App(ps[0].term, arg), d.ty, ps)
             case "es":
                 y = d.term.binder
                 p0 = go(d.premises[0])
                 rest_ps = tuple(go(p) for p in d.premises[1:])
-                arg = rest_ps[0].term if rest_ps else subst(d.term.arg, x, u)
+                arg = rest_ps[0].term if rest_ps else subst(d.term.arg, {x: u})
                 _, rest = env_minus(p0.env_dict, y)
                 env = env_sum(rest, *(p.env_dict for p in rest_ps))
                 return mk("es", env, Es(p0.term, y, arg), d.ty, (p0,) + rest_ps)
@@ -382,16 +262,12 @@ def _anti_subst(
 ) -> tuple[Derivation, list[Derivation]]:
     collected: list[Derivation] = []
 
-    def lookup(mapping, y):
-        for a, bb in reversed(mapping):
-            if a == y:
-                return bb
-        return None
-
-    def go(d: Derivation, b: Term, mapping) -> Derivation:
+    # mapping: each binder of the source in scope, to the variable of
+    # the derivation's binder that it became
+    def go(d: Derivation, b: Term, mapping: dict[str, Var]) -> Derivation:
         match b:
             case Var(y):
-                if lookup(mapping, y) is not None or y != x:
+                if y in mapping or y != x:
                     return d
                 collected.append(d)
                 if system == SYS_V:
@@ -403,9 +279,9 @@ def _anti_subst(
                 if d.rule != "abs":
                     raise TransformError("derivation out of step with the source term")
                 if not d.premises:
-                    return mk("abs", {}, _map_names(b, mapping), d.ty)
+                    return mk("abs", {}, subst(b, mapping), d.ty)
                 ab = d.term.binder
-                ps = tuple(go(p, bb, mapping + ((y, ab),)) for p in d.premises)
+                ps = tuple(go(p, bb, {**mapping, y: Var(ab)}) for p in d.premises)
                 env = env_sum(*(env_minus(p.env_dict, ab)[1] for p in ps))
                 return mk("abs", env, Abs(ab, ps[0].term), d.ty, ps)
             case App(bf, ba):
@@ -413,23 +289,23 @@ def _anti_subst(
                     raise TransformError("derivation out of step with the source term")
                 p0 = go(d.premises[0], bf, mapping)
                 rest = tuple(go(p, ba, mapping) for p in d.premises[1:])
-                arg = rest[0].term if rest else _map_names(ba, mapping)
+                arg = rest[0].term if rest else subst(ba, mapping)
                 env = env_sum(*(p.env_dict for p in (p0,) + rest))
                 return mk("app", env, App(p0.term, arg), d.ty, (p0,) + rest)
             case Es(bb, y, ba):
                 if d.rule != "es":
                     raise TransformError("derivation out of step with the source term")
                 ab = d.term.binder
-                p0 = go(d.premises[0], bb, mapping + ((y, ab),))
+                p0 = go(d.premises[0], bb, {**mapping, y: Var(ab)})
                 rest = tuple(go(p, ba, mapping) for p in d.premises[1:])
-                arg = rest[0].term if rest else _map_names(ba, mapping)
+                arg = rest[0].term if rest else subst(ba, mapping)
                 _, outer = env_minus(p0.env_dict, ab)
                 env = env_sum(outer, *(p.env_dict for p in rest))
                 return mk("es", env, Es(p0.term, ab, arg), d.ty, (p0,) + rest)
             case _:
                 raise TransformError("cannot walk this term shape")
 
-    return go(nd, b, ()), collected
+    return go(nd, b, {}), collected
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +344,7 @@ def _reduce_db(d: Derivation, system: str) -> Derivation:
         raise TransformError("dB expects an application node")
     df, dargs = d.premises[0], d.premises[1:]
     arg_term = dargs[0].term if dargs else d.term.arg
-    df = _freshen_deriv_binders(df, free_vars(arg_term))
+    df = _freshen_deriv(df, free_vars(arg_term))
     chain, core = _peel_chain(df)
     if core.rule != "abs":
         raise TransformError("dB expects an abstraction under the spine")
@@ -517,7 +393,7 @@ def _reduce_sv(d: Derivation) -> Derivation:
         raise TransformError("sv expects a substitution node")
     db, darg = d.premises
     x = d.term.binder
-    darg = _freshen_deriv_binders(darg, free_vars(db.term) - {x})
+    darg = _freshen_deriv(darg, free_vars(db.term) - {x})
     chain, dv = _peel_chain(darg)
     if dv.rule not in ("var", "abs"):
         raise TransformError("sv expects a value under the spine")
@@ -537,8 +413,7 @@ def _expand_sv(d: Derivation, before_sub: Term) -> Derivation:
     if collected:
         v_after = collected[0].term
     else:
-        pairs = tuple(zip((y for y, _ in spine), (c.term.binder for c in chain)))
-        v_after = _map_names(v, pairs)
+        v_after = subst(v, {y: Var(c.term.binder) for (y, _), c in zip(spine, chain)})
     dv = _merge_values_v(collected, v_after)
     if db.env_dict.get(x, EMPTY) != dv.ty:
         raise TransformError("collected value demand is inconsistent")
@@ -640,6 +515,10 @@ def expand_derivation(d: Derivation, step: Step, system: str) -> Derivation:
     """From a derivation of the step's target, one of its source."""
     if not alpha_eq(d.term, step.after):
         raise TransformError("derivation does not type the step's target")
+    # the step renamed the binders of its target out of the way of its
+    # source's free names: the transforms below rely on those names
+    if d.term != step.after:
+        d = _retarget(d, step.after)
     before_sub = subterm_at(step.before, step.position)
 
     def local(node: Derivation) -> Derivation:

@@ -20,13 +20,13 @@ from .terms import (
     CBV,
     Abs,
     App,
-    Bot,
     Es,
     Level,
     OMEGA,
     Term,
     Var,
     bot_positions,
+    canonical,
     level_of,
 )
 from .reduce import min_redex_level
@@ -133,7 +133,7 @@ def is_bno(t: Term, calculus: str, k: Level) -> bool:
 
 
 def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:
-    """Equality up to depth k of the stratification.
+    """Equality up to depth k of the stratification, on canonical keys.
 
     At level omega this is alpha-equality.  At a finite level the parts
     of the term out of reach of level-k reduction are not compared: in
@@ -142,50 +142,25 @@ def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:
     or substitution that stops being compared.
     """
 
-    def cbv(t: Term, u: Term, k: Level, env: tuple[tuple[str, str], ...]) -> bool:
-        match t, u:
-            case Bot(), Bot():
-                return True
-            case Var(x), Var(y):
-                return _var_eq(x, y, env)
-            case Abs(x, tb), Abs(y, ub):
-                if k == 0:
-                    return True
-                return cbv(tb, ub, _dec(k), env + ((x, y),))
-            case App(tf, ta), App(uf, ua):
-                return cbv(tf, uf, k, env) and cbv(ta, ua, k, env)
-            case Es(tb, x, ta), Es(ub, y, ua):
-                return cbv(tb, ub, k, env + ((x, y),)) and cbv(ta, ua, k, env)
-            case _:
-                return False
+    if calculus not in (CBV, CBN):
+        raise ValueError(f"unknown calculus {calculus!r}")
+    by_value = calculus == CBV
 
-    def cbn(t: Term, u: Term, k: Level, env: tuple[tuple[str, str], ...]) -> bool:
-        match t, u:
-            case Bot(), Bot():
-                return True
-            case Var(x), Var(y):
-                return _var_eq(x, y, env)
-            case Abs(x, tb), Abs(y, ub):
-                return cbn(tb, ub, k, env + ((x, y),))
-            case App(tf, ta), App(uf, ua):
-                if not cbn(tf, uf, k, env):
+    def go(t: tuple, u: tuple, k: Level) -> bool:
+        if t[0] != u[0]:
+            return False
+        match t[0]:
+            case "l":
+                if by_value:
+                    return k == 0 or go(t[1], u[1], _dec(k))
+                return go(t[1], u[1], k)
+            case "a" | "s":
+                if not go(t[1], u[1], k):
                     return False
-                return True if k == 0 else cbn(ta, ua, _dec(k), env)
-            case Es(tb, x, ta), Es(ub, y, ua):
-                if not cbn(tb, ub, k, env + ((x, y),)):
-                    return False
-                return True if k == 0 else cbn(ta, ua, _dec(k), env)
+                if by_value:
+                    return go(t[2], u[2], k)
+                return k == 0 or go(t[2], u[2], _dec(k))
             case _:
-                return False
+                return t == u
 
-    def _var_eq(x: str, y: str, env: tuple[tuple[str, str], ...]) -> bool:
-        for a, b in reversed(env):
-            if a == x or b == y:
-                return a == x and b == y
-        return x == y
-
-    if calculus == CBV:
-        return cbv(t, u, k, ())
-    if calculus == CBN:
-        return cbn(t, u, k, ())
-    raise ValueError(f"unknown calculus {calculus!r}")
+    return go(canonical(t), canonical(u), k)

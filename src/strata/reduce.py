@@ -41,11 +41,10 @@ from .terms import (
     Term,
     canonical,
     free_vars,
-    fresh_name,
+    freshen,
     is_value,
     level_of,
     parse,
-    rename_free,
     replace_at,
     show,
     show_level,
@@ -198,55 +197,33 @@ def _rebuild_spine(spine: list[tuple[str, Term]], core: Term) -> Term:
     return core
 
 
-def _freshen_spine(
-    spine: list[tuple[str, Term]], core: Term, incoming: frozenset[str]
-) -> tuple[list[tuple[str, Term]], Term]:
-    """Rename spine binders that clash with incoming free variables.
-
-    spine[i]'s binder scopes over spine[j] for j > i (arguments
-    included) and over the core, stopping at a shadowing binder."""
-    spine = list(spine)
-    avoid = set(incoming) | {x for x, _ in spine} | set(free_vars(core))
-    for _, a in spine:
-        avoid |= free_vars(a)
-    for i, (x, a) in enumerate(spine):
-        if x not in incoming:
-            continue
-        x2 = fresh_name(x, frozenset(avoid))
-        avoid.add(x2)
-        spine[i] = (x2, a)
-        shadowed = False
-        for j in range(i + 1, len(spine)):
-            yj, aj = spine[j]
-            spine[j] = (yj, rename_free(aj, x, x2))
-            if yj == x:
-                shadowed = True
-                break
-        if not shadowed:
-            core = rename_free(core, x, x2)
-    return spine, core
+def _freshen_spine(t: Term, incoming: frozenset[str]) -> Term:
+    """t = L<core> with its binders renamed out of the way of the
+    incoming free names, which move under L; the same node when no
+    binder of L is among them."""
+    spine, _ = _peel_es_spine(t)
+    return freshen(t, incoming) if any(x in incoming for x, _ in spine) else t
 
 
 def _contract(t: Term, rule: str, calculus: str) -> Term:
     """Contract the root redex of t.  Raises if the rule does not match."""
     match rule, t:
         case "dB", App(f, a):
+            if isinstance(f, Es):  # a moves under the spine binders
+                f = _freshen_spine(f, free_vars(a))
             spine, core = _peel_es_spine(f)
             if not isinstance(core, Abs):
                 raise ValueError("dB redex expected")
-            # a moves under the spine binders: rename clashes first
-            spine, core = _freshen_spine(spine, core, free_vars(a))
-            assert isinstance(core, Abs)
             return _rebuild_spine(spine, Es(core.body, core.binder, a))
         case "sv", Es(b, x, arg):
+            if isinstance(arg, Es):  # b moves under the spine binders
+                arg = _freshen_spine(arg, free_vars(b) - {x})
             spine, v = _peel_es_spine(arg)
             if not is_value(v):
                 raise ValueError("sv redex expected")
-            # b moves under the spine binders
-            spine, v = _freshen_spine(spine, v, free_vars(b) - {x})
-            return _rebuild_spine(spine, subst(b, x, v))
+            return _rebuild_spine(spine, subst(b, {x: v}))
         case "sN", Es(b, x, arg):
-            return subst(b, x, arg)
+            return subst(b, {x: arg})
         case _:
             raise ValueError(f"rule {rule} does not match at the root")
 
@@ -365,7 +342,7 @@ def plotkin_redexes(t: Term) -> list[Redex]:
 def _plotkin_contract(t: Term, redex: Redex) -> Step:
     sub = subterm_at(t, redex.position)
     assert isinstance(sub, App) and isinstance(sub.fun, Abs)
-    after = replace_at(t, redex.position, subst(sub.fun.body, sub.fun.binder, sub.arg))
+    after = replace_at(t, redex.position, subst(sub.fun.body, {sub.fun.binder: sub.arg}))
     return Step(t, after, redex.position, BETA_V, 0.0)
 
 

@@ -16,6 +16,7 @@ capture free variables of the plugged term, which is deliberate.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -97,18 +98,6 @@ def is_pure(t: Term) -> bool:
             return is_pure(b)
         case App(f, a):
             return is_pure(f) and is_pure(a)
-        case _:
-            return False
-
-
-def contains_bot(t: Term) -> bool:
-    match t:
-        case Bot():
-            return True
-        case Abs(_, b):
-            return contains_bot(b)
-        case App(f, a) | Es(f, _, a):
-            return contains_bot(f) or contains_bot(a)
         case _:
             return False
 
@@ -213,67 +202,86 @@ def size(t: Term) -> int:
 # Fresh names, substitution, alpha-equality
 
 
-_FRESH_COUNTER = 0
-
-
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """A name not in avoid, derived from base by appending a counter."""
-    global _FRESH_COUNTER
+    """The lowest-numbered variant of base not in avoid: base without
+    its trailing digits, followed by 0, 1, 2, ..."""
     root = base.rstrip(string.digits) or "v"
-    while True:
-        _FRESH_COUNTER += 1
-        cand = f"{root}{_FRESH_COUNTER}"
-        if cand not in avoid:
-            return cand
+    i = 0
+    while f"{root}{i}" in avoid:
+        i += 1
+    return f"{root}{i}"
 
 
-def rename_free(t: Term, old: str, new: str) -> Term:
-    """Rename free occurrences of old to new.  new must not be captured."""
-    match t:
-        case Var(x):
-            return Var(new) if x == old else t
-        case Abs(x, b):
-            return t if x == old else Abs(x, rename_free(b, old, new))
-        case App(f, a):
-            return App(rename_free(f, old, new), rename_free(a, old, new))
-        case Es(b, x, a):
-            nb = b if x == old else rename_free(b, old, new)
-            return Es(nb, x, rename_free(a, old, new))
-        case _:
-            return t
+def subst(t: Term, sigma: dict[str, Term]) -> Term:
+    """Simultaneous capture-avoiding substitution t{x1:=u1, ..., xn:=un}.
+
+    A binder is renamed only where it would capture a free variable of
+    a term substituted below it.  Every subterm that the substitution
+    leaves unchanged is returned as the same node."""
+    if not sigma:
+        return t
+    # each substituted variable, with its term and the term's free names
+    env = {x: (u, free_vars(u)) for x, u in sigma.items()}
+
+    def go(t: Term, env: dict) -> Term:
+        kind = type(t)
+        if kind is Var:
+            hit = env.get(t.name)
+            return t if hit is None else hit[0]
+        if kind is App:
+            f, a = go(t.fun, env), go(t.arg, env)
+            return t if f is t.fun and a is t.arg else App(f, a)
+        if kind is Abs:
+            y, b = under(t.binder, t.body, env)
+            return t if b is t.body else Abs(y, b)
+        if kind is Es:
+            y, b = under(t.binder, t.body, env)
+            a = go(t.arg, env)
+            return t if b is t.body and a is t.arg else Es(b, y, a)
+        return t
+
+    def under(y: str, b: Term, env: dict) -> tuple[str, Term]:
+        """The binder y and the body b it scopes over, substituted."""
+        if y in env:
+            env = {x: hit for x, hit in env.items() if x != y}
+        if any(y in fv for _, fv in env.values()):
+            fv_b = free_vars(b)
+            env = {x: hit for x, hit in env.items() if x in fv_b}
+            if any(y in fv for _, fv in env.values()):
+                y2 = fresh_name(y, fv_b.union(*(fv for _, fv in env.values())))
+                env[y] = (Var(y2), frozenset((y2,)))
+                y = y2
+        return (y, go(b, env)) if env else (y, b)
+
+    return go(t, env)
 
 
-def subst(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding meta-level substitution t{x := u}."""
-    fv_u = free_vars(u)
+def freshen(t: Term, clash: frozenset[str] | set[str]) -> Term:
+    """t with every binder in clash renamed, by subst, to a name outside
+    clash; the same node when no binder of t is in clash."""
 
-    def go(t: Term, bound: frozenset[str]) -> Term:
+    def away(y: str, b: Term) -> tuple[str, Term]:
+        if y in clash:
+            y2 = fresh_name(y, free_vars(b) | clash)
+            y, b = y2, subst(b, {y: Var(y2)})
+        return y, go(b)
+
+    def go(t: Term) -> Term:
         match t:
-            case Var(y):
-                return u if y == x else t
             case Abs(y, b):
-                if y == x or x not in free_vars(t):
-                    return t
-                if y in fv_u:
-                    y2 = fresh_name(y, fv_u | free_vars(b) | bound | {x})
-                    b = rename_free(b, y, y2)
-                    y = y2
-                return Abs(y, go(b, bound | {y}))
+                y2, b2 = away(y, b)
+                return t if b2 is b and y2 == y else Abs(y2, b2)
             case App(f, a):
-                return App(go(f, bound), go(a, bound))
+                f2, a2 = go(f), go(a)
+                return t if f2 is f and a2 is a else App(f2, a2)
             case Es(b, y, a):
-                na = go(a, bound)
-                if y == x or x not in (free_vars(b) - {y}):
-                    return Es(b, y, na)
-                if y in fv_u:
-                    y2 = fresh_name(y, fv_u | free_vars(b) | bound | {x})
-                    b = rename_free(b, y, y2)
-                    y = y2
-                return Es(go(b, bound | {y}), y, na)
+                y2, b2 = away(y, b)
+                a2 = go(a)
+                return t if b2 is b and y2 == y and a2 is a else Es(b2, y2, a2)
             case _:
                 return t
 
-    return go(t, frozenset())
+    return go(t)
 
 
 def canonical(t: Term) -> tuple:
@@ -311,29 +319,18 @@ def alpha_eq(t: Term, u: Term) -> bool:
 def partial_leq(t: Term, u: Term) -> bool:
     """The approximation order: t is u with some subterms cut to bot.
 
-    Compares up to alpha; bot is below everything, and the order is
-    structural everywhere else.
+    Compares canonical keys, so up to alpha; bot is below everything,
+    and the order is structural everywhere else.
     """
 
-    def go(t: Term, u: Term, env: tuple[tuple[str, str], ...]) -> bool:
-        if isinstance(t, Bot):
+    def go(t: tuple, u: tuple) -> bool:
+        if t[0] == "bot":
             return True
-        match t, u:
-            case Var(x), Var(y):
-                for a, b in reversed(env):
-                    if a == x or b == y:
-                        return a == x and b == y
-                return x == y
-            case Abs(x, tb), Abs(y, ub):
-                return go(tb, ub, env + ((x, y),))
-            case App(tf, ta), App(uf, ua):
-                return go(tf, uf, env) and go(ta, ua, env)
-            case Es(tb, x, ta), Es(ub, y, ua):
-                return go(tb, ub, env + ((x, y),)) and go(ta, ua, env)
-            case _:
-                return False
+        if t[0] != u[0] or t[0] in ("v", "f"):
+            return t == u
+        return all(go(tc, uc) for tc, uc in zip(t[1:], u[1:]))
 
-    return go(t, u, ())
+    return go(canonical(t), canonical(u))
 
 
 def bot_positions(t: Term) -> list[Position]:
@@ -500,76 +497,44 @@ def show_level(k: Level) -> str:
 # Printing
 
 
-def _rename_binders(t: Term) -> Term:
-    """Rename binders to x0, x1, ... in traversal order, skipping any
-    names already free in the term."""
-    taken = set(free_vars(t))
-    counter = 0
-
-    def next_name() -> str:
-        nonlocal counter
-        while True:
-            cand = f"x{counter}"
-            counter += 1
-            if cand not in taken:
-                taken.add(cand)
-                return cand
-
-    def go(t: Term) -> Term:
-        match t:
-            case Abs(x, b):
-                x2 = next_name()
-                return Abs(x2, go(rename_free(b, x, x2)))
-            case App(f, a):
-                return App(go(f), go(a))
-            case Es(b, x, a):
-                x2 = next_name()
-                return Es(go(rename_free(b, x, x2)), x2, go(a))
-            case _:
-                return t
-
-    return go(t)
-
-
-def _text(t: Term, prec: int) -> str:
-    # prec 0: term, 1: application element (function side),
-    # 2: atom (argument side or substitution target)
-    match t:
-        case Var(x):
-            return x
-        case Bot():
-            return "bot"
-        case Hole():
-            return "@"
-        case Abs(x, b):
-            s = f"\\{x}.{_text(b, 0)}"
-            return f"({s})" if prec > 0 else s
-        case App(f, a):
-            s = f"{_text(f, 1)} {_text(a, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Es(b, x, a):
-            return f"{_text(b, 2)}[{x}\\{_text(a, 0)}]"
-
-
 def show(t: Term, rename: bool = True) -> str:
     """Render a term in the concrete syntax accepted by parse.
 
     With rename (the default) binders are canonically named x0, x1, ...
-    so that alpha-equal terms print identically.
+    in traversal order, skipping the free names of the term, so that
+    alpha-equal terms print identically.
     """
-    if rename:
-        t = _rename_binders(t)
-    return _text(t, 0)
+    free = free_vars(t) if rename else frozenset()
+    names = (n for i in itertools.count() if (n := f"x{i}") not in free)
+    printed: dict[str, str | None] = {}  # the printed name of each binder in scope
 
+    def under(x: str, b: Term, prec: int) -> tuple[str, str]:
+        """The printed name of binder x, and the text of its scope b."""
+        outer = printed.get(x)
+        name = printed[x] = next(names) if rename else x
+        body = text(b, prec)
+        printed[x] = outer
+        return name, body
 
-# Common combinators, mostly for tests and the CLI docs.
-def ID() -> Term:
-    return Abs("z", Var("z"))
+    # prec 0: term, 1: application element (function side),
+    # 2: atom (argument side or substitution target)
+    def text(t: Term, prec: int) -> str:
+        match t:
+            case Var(x):
+                return printed.get(x) or x
+            case Bot():
+                return "bot"
+            case Hole():
+                return "@"
+            case Abs(x, b):
+                name, body = under(x, b, 0)
+                s = f"\\{name}.{body}"
+                return f"({s})" if prec > 0 else s
+            case App(f, a):
+                s = f"{text(f, 1)} {text(a, 2)}"
+                return f"({s})" if prec > 1 else s
+            case Es(b, x, a):
+                name, body = under(x, b, 2)
+                return f"{body}[{name}\\{text(a, 0)}]"
 
-
-def DELTA() -> Term:
-    return Abs("w", App(Var("w"), Var("w")))
-
-
-def OMEGA_TERM() -> Term:
-    return App(DELTA(), DELTA())
+    return text(t, 0)

@@ -2,9 +2,14 @@
 codes (0 success / yes, 1 no / failure, 2 undecided, 3 usage error)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from strata import alpha_eq, parse
 from strata.cli import main
 
 from conftest import DELTA, ID, OMEGA_LOOP
@@ -39,6 +44,37 @@ class TestParse:
     def test_context_mode_keeps_the_hole(self, capsys):
         code, out, _ = run(capsys, "parse", "--context", r"x @")
         assert code == 0 and "@" in out
+
+    def test_echo_does_not_capture(self, capsys):
+        code, out, _ = run(capsys, "parse", r"\x1.\x0.x1")
+        assert code == 0 and alpha_eq(parse(out.strip()), parse(r"\x1.\x0.x1"))
+
+
+class TestFreshProcess:
+    """A new process has made no fresh names yet: answers must not
+    depend on how many an earlier computation made."""
+
+    TERM = r"(\x.\y.\y1. x y) y"
+
+    @staticmethod
+    def strata(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "strata.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+
+    def test_reduce_renames_without_capture(self):
+        done = self.strata("reduce", self.TERM, "--calculus", "cbn", "--level", "omega")
+        lines = done.stdout.splitlines()
+        assert done.returncode == 0 and lines[-1] == "outcome: normal"
+        final = lines[-2].split("--> ")[1]
+        assert alpha_eq(parse(final), parse(r"\a.\b. y a"))
+
+    def test_judge_finds_the_terms_convertible(self):
+        done = self.strata("judge", self.TERM, r"\a.\b. y a", "--calculus", "cbn")
+        assert done.returncode == 0
+        assert done.stdout.startswith("conversion: equal")
 
 
 class TestReduce:
@@ -109,6 +145,11 @@ class TestMeaning:
                            "--fuel", "10", "--annotations", str(f))
         assert code == 1 and "asserted" in out
 
+    def test_missing_annotations_file_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "meaning", ID, "--annotations",
+                             str(tmp_path / "missing.txt"))
+        assert code == 3 and out == "" and "error:" in err
+
 
 class TestApproximant:
     def test_collapse_to_bot(self, capsys):
@@ -142,6 +183,10 @@ class TestTypes:
         code, out, _ = run(capsys, "type-infer", r"(\x.x x x) (\x.x x x)",
                            "--fuel", "10")
         assert code == 2
+
+    def test_missing_derivation_file_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "type-check", str(tmp_path / "missing.json"))
+        assert code == 3 and out == "" and "error:" in err
 
     def test_tampered_derivation_exits_1(self, capsys, tmp_path):
         f = tmp_path / "deriv.json"

@@ -5,17 +5,22 @@ property of surface reduction."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from strata import (
+    Abs,
+    App,
     BOT,
     CBN,
     CBV,
+    Es,
     OMEGA,
     Oracle,
+    Var,
     alpha_eq,
     apply_step,
     canonical,
+    check_derivation,
     classify_nf,
     find_redexes,
     free_vars,
@@ -29,9 +34,11 @@ from strata import (
     strat_eq,
     stratified_genericity_check,
     subst,
+    typable,
 )
 from strata.approx import Undetermined
 from strata.corpus import random_term
+from strata.typecheck import SYSTEM_OF
 
 from conftest import ID, OMEGA_LOOP, p
 
@@ -44,6 +51,74 @@ def terms(draw, max_size=9, bot_weight=0.0):
     seed = draw(st.integers(0, 2**32 - 1))
     size = draw(st.integers(1, max_size))
     return random_term(random.Random(seed), size, bot_weight=bot_weight)
+
+
+# names that the printer and fresh_name give out, and the free names of
+# random_term: binders that carry them are where capture happens
+CLASH_PRONE = ["x", "y", "x0", "x1", "y1"]
+
+
+def _rename_literally(t, names):
+    """t with every name in names replaced, binders and variables alike,
+    with no regard for capture."""
+    match t:
+        case Var(x):
+            return Var(names.get(x, x))
+        case Abs(x, b):
+            return Abs(names.get(x, x), _rename_literally(b, names))
+        case App(f, a):
+            return App(_rename_literally(f, names), _rename_literally(a, names))
+        case Es(b, x, a):
+            return Es(_rename_literally(b, names), names.get(x, x),
+                      _rename_literally(a, names))
+        case _:
+            return t
+
+
+@st.composite
+def clashing_terms(draw, max_size=9, bot_weight=0.0):
+    """A random term whose binders b0, b1, ... are renamed to clash-prone
+    names, kept only where the renaming is an alpha-variant."""
+    t = draw(terms(max_size, bot_weight))
+    picks = draw(st.lists(st.sampled_from(CLASH_PRONE), min_size=max_size,
+                          max_size=max_size))
+    u = _rename_literally(t, {f"b{i}": n for i, n in enumerate(picks)})
+    assume(canonical(u) == canonical(t))
+    return t, u
+
+
+class TestClashProneNames:
+    @settings(max_examples=500)
+    @given(clashing_terms(bot_weight=0.2))
+    def test_printing_is_alpha_invariant(self, pair):
+        t, u = pair
+        assert show(u) == show(t)
+        assert alpha_eq(parse(show(u)), u)
+
+    @given(clashing_terms(max_size=7), clashing_terms(max_size=4),
+           st.sampled_from(CLASH_PRONE))
+    def test_substitution_is_alpha_invariant(self, pair, arg, name):
+        (t, u), (s, s2) = pair, arg
+        assert alpha_eq(subst(u, {name: s2}), subst(t, {name: s}))
+
+    @settings(deadline=None)
+    @given(clashing_terms(max_size=8), CALCULI, LEVELS)
+    def test_normalization_is_alpha_invariant(self, pair, calculus, k):
+        t, u = pair
+        a, b = normalize(t, calculus, k, 30), normalize(u, calculus, k, 30)
+        assert (a.outcome, a.cycle_start, len(a.steps)) == \
+            (b.outcome, b.cycle_start, len(b.steps))
+        assert canonical(a.final) == canonical(b.final)
+
+    @settings(deadline=None)
+    @given(clashing_terms(max_size=8), CALCULI)
+    def test_typing_is_alpha_invariant(self, pair, calculus):
+        t, u = pair
+        status, d = typable(u, calculus, 30)
+        assert status == typable(t, calculus, 30)[0]
+        if d is not None:
+            assert check_derivation(d, SYSTEM_OF[calculus]) == []
+            assert alpha_eq(d.term, u)
 
 
 class TestSyntax:
@@ -84,11 +159,11 @@ class TestSubstitution:
     def test_no_op_when_the_variable_is_not_free(self, t, u):
         name = "zzz"
         assert name not in free_vars(t)
-        assert alpha_eq(subst(t, name, u), t)
+        assert alpha_eq(subst(t, {name: u}), t)
 
     @given(terms(max_size=6), terms(max_size=4))
     def test_free_variables_shrink_correctly(self, t, u):
-        out = subst(t, "x", u)
+        out = subst(t, {"x": u})
         assert free_vars(out) <= (free_vars(t) - {"x"}) | free_vars(u)
 
 

@@ -23,18 +23,21 @@ from strata import (
 from strata.terms import (
     ParseError,
     canonical,
+    fresh_name,
     free_vars,
+    freshen,
     hole_positions,
     is_context,
     is_pure,
     is_value,
     level_of,
     parse_level,
-    rename_free,
     size,
     subterm_at,
     subterms,
 )
+
+from strata.corpus import enumerate_contexts
 
 from conftest import ID, OMEGA_LOOP
 
@@ -86,6 +89,15 @@ class TestParsePrint:
         assert "x0" in free_vars(t)
         assert alpha_eq(parse(show(t)), t)
 
+    def test_printed_binders_do_not_capture_each_other(self):
+        # K, whose binders carry the names the printer gives out
+        t = parse(r"\x1.\x0.x1")
+        assert show(t) == r"\x0.\x1.x0"
+        assert alpha_eq(parse(show(t)), t)
+
+    def test_raw_printing_keeps_the_names(self):
+        assert show(parse(r"\x1.\x0.x1 (y)[y\z]"), rename=False) == r"\x1.\x0.x1 y[y\z]"
+
     def test_levels_parse(self):
         assert parse_level("omega") == OMEGA
         assert parse_level("3") == 3.0
@@ -93,31 +105,75 @@ class TestParsePrint:
 
 class TestSubstitution:
     def test_replaces_free_occurrences(self):
-        t = subst(parse("x x"), "x", parse(ID))
+        t = subst(parse("x x"), {"x": parse(ID)})
         assert alpha_eq(t, parse(rf"({ID}) ({ID})"))
 
     def test_ignores_bound_occurrences(self):
-        t = subst(parse(r"x (\x.x)"), "x", Var("y"))
+        t = subst(parse(r"x (\x.x)"), {"x": Var("y")})
         assert alpha_eq(t, parse(r"y (\x.x)"))
 
     def test_avoids_capture_under_abstraction(self):
-        t = subst(parse(r"\y.x"), "x", Var("y"))
+        t = subst(parse(r"\y.x"), {"x": Var("y")})
         assert isinstance(t, Abs)
         assert t.binder != "y" and t.body == Var("y")
 
     def test_avoids_capture_under_closure(self):
-        t = subst(parse(r"(x y)[y\z]"), "x", Var("y"))
+        t = subst(parse(r"(x y)[y\z]"), {"x": Var("y")})
         assert "y" in free_vars(t)
         assert alpha_eq(t, parse(r"(y w)[w\z]"))
 
     def test_closure_binder_scopes_over_body_not_argument(self):
         t = parse(r"(x)[x\x]")
         assert free_vars(t) == {"x"}
-        assert alpha_eq(subst(t, "x", Var("z")), parse(r"(x)[x\z]"))
+        assert alpha_eq(subst(t, {"x": Var("z")}), parse(r"(x)[x\z]"))
 
     def test_rename_free(self):
-        t = rename_free(parse(r"x (\x.x)"), "x", "y")
+        t = subst(parse(r"x (\x.x)"), {"x": Var("y")})
         assert alpha_eq(t, parse(r"y (\x.x)"))
+
+    @pytest.mark.parametrize("inner", ["y0", "y1", "y2"])
+    def test_renamed_binder_is_not_captured_below(self, inner):
+        # the binder y must be renamed, and its new name must not be
+        # captured by the inner binder, whatever that is called
+        t = subst(parse(rf"\y.\{inner}. x y"), {"x": Var("y")})
+        assert alpha_eq(t, parse(r"\a.\b. y a"))
+
+    def test_names_do_not_depend_on_earlier_calls(self):
+        first = subst(parse(r"\y.x"), {"x": Var("y")})
+        second = subst(parse(r"\y.x"), {"x": Var("y")})
+        assert first == second == Abs("y0", Var("y"))
+
+    def test_substitution_is_simultaneous(self):
+        t = subst(parse(r"x y (\z.x)"), {"x": Var("y"), "y": Var("x")})
+        assert t == parse(r"y x (\z.y)")
+
+    def test_no_renaming_where_nothing_is_substituted(self):
+        t = parse(r"(\y.z) x")
+        out = subst(t, {"x": Var("y")})
+        assert out == App(t.fun, Var("y")) and out.fun is t.fun
+
+    def test_unchanged_term_is_the_same_node(self):
+        t = parse(r"\y.(z y)[w\y]")
+        assert subst(t, {"x": Var("y")}) is t
+        assert subst(t, {}) is t
+
+    def test_closure_binder_shadows_the_variable(self):
+        t = parse(r"(x y)[x\x]")
+        assert alpha_eq(subst(t, {"x": Var("y")}), parse(r"(x y)[x\y]"))
+
+    def test_fresh_name_is_the_lowest_free_variant(self):
+        assert fresh_name("y", {"y"}) == "y0"
+        assert fresh_name("y", {"y", "y0", "y2"}) == "y1"
+        assert fresh_name("x12", {"x12"}) == "x0"
+
+    def test_freshen_renames_the_clashing_binders(self):
+        t = parse(r"(\x.\y.x y z)[y\x]")
+        out = freshen(t, {"x", "y"})
+        assert alpha_eq(out, t)
+        binders = [s.binder for _, s in subterms(out) if isinstance(s, (Abs, Es))]
+        assert not {"x", "y"} & set(binders)
+        assert freshen(t, {"w"}) is t
+        assert freshen(parse(r"\x.z"), {"x"}) == parse(r"\x0.z")
 
 
 class TestAlpha:
@@ -195,6 +251,14 @@ class TestContexts:
         c = parse_context(r"x (@ y)")
         t = plug(c, parse(ID))
         assert alpha_eq(subterm_at(t, ("r", "l")), parse(ID))
+
+    def test_context_enumeration_order(self):
+        # the judge's context search depends on this order
+        ctxs = [show(c, rename=False) for c in enumerate_contexts(4, ("z",))]
+        assert ctxs[:8] == ["@", r"\b0.@", r"\b0.\b1.@", "@ z", "z @", r"@[b0\z]",
+                            r"z[b0\@]", r"b0[b0\@]"]
+        assert len(ctxs) == 32 and all(is_context(c) for c in enumerate_contexts(5))
+        assert len(list(enumerate_contexts(5))) == 275
 
 
 class TestStructure:

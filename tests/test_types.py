@@ -132,6 +132,12 @@ class TestReplay:
         rf"({ID}) x y",
         rf"(\x.\y.y x) z ({ID})",
         rf"(x ({ID}))[x\{ID}]",
+        # binders that the steps must rename: a spine binder the moved
+        # argument names, an abstraction that captures the substituted
+        # term, and a step target whose fresh names the source reuses
+        r"((\x.x)[y\z]) y",
+        r"((\y.x)[x\y]) z",
+        r"(\x.x1[y1\(\x1.x0) x1])[x0\x0] x0",
     ])
     def test_expansion_then_reduction_round_trip(self, text, calculus, system):
         t = parse(text)
