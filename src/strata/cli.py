@@ -3,7 +3,8 @@
 Exit codes, uniformly: 0 for success / equal / pass, 1 for a negative
 or violated result, 2 when the question could not be decided within
 the budget, 3 for usage errors (bad syntax, bad flags, unreadable
-files).
+files), 4 for an internal error (the machinery failed, for example by
+running out of recursion depth): never a verdict.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 
-from . import terms as T
 from .approx import (
     Annotations,
     MEANINGFUL,
@@ -37,6 +37,7 @@ from .typecheck import SYSTEM_OF, check_derivation
 from .types_core import deriv_from_dict, deriv_to_dict, show_ty
 
 USAGE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _dispatch(args) -> int:

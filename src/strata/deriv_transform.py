@@ -27,6 +27,7 @@ from .terms import (
     freshen,
     hole_positions,
     plug,
+    replace_at,
     subst,
     subterm_at,
 )
@@ -38,11 +39,11 @@ from .types_core import (
     Mult,
     SYS_N,
     SYS_V,
+    demand,
+    derive,
     env_eq,
-    env_minus,
-    env_sum,
-    mk,
     mult_minus,
+    mult_sum,
     show_ty,
 )
 
@@ -60,35 +61,30 @@ class GenericityContradiction(ValueError):
 
 
 def _retarget(d: Derivation, target: Term) -> Derivation:
-    """Rename a derivation of an alpha-variant of target so that every
-    node types the matching subterm of target itself, binder names
-    included."""
-
-    def go(d: Derivation, t: Term, names: dict[str, str]) -> Derivation:
-        env = {names.get(k, k): m for k, m in d.env}
-        match d.rule, t:
-            case "var", Var(_):
-                premises = ()
-            case "abs", Abs(y, b):
-                inner = {**names, d.term.binder: y}
-                premises = tuple(go(p, b, inner) for p in d.premises)
-            case "app", App(f, a):
-                premises = (go(d.premises[0], f, names),) + tuple(
-                    go(p, a, names) for p in d.premises[1:])
-            case "es", Es(b, y, a):
-                premises = (go(d.premises[0], b, {**names, d.term.binder: y}),) + tuple(
-                    go(p, a, names) for p in d.premises[1:])
-            case _:
-                raise TransformError("derivation out of step with the term")
-        return mk(d.rule, env, t, d.ty, premises)
-
-    return go(d, target, {})
+    """The derivation d of an alpha-variant of target, carried over so
+    that every node types the matching subterm of target itself."""
+    match d.rule, target:
+        case "var", Var(_):
+            premises = ()
+        case "abs", Abs(_, b):
+            premises = tuple(_retarget(p, b) for p in d.premises)
+        case ("app", App(f, a)) | ("es", Es(f, _, a)):
+            premises = (_retarget(d.premises[0], f),) + tuple(
+                _retarget(p, a) for p in d.premises[1:])
+        case _:
+            raise TransformError("derivation out of step with the term")
+    return derive(d.rule, target, d.ty, premises)
 
 
 def _freshen_deriv(d: Derivation, clash: frozenset[str]) -> Derivation:
     """d with the binders of its term that are in clash renamed."""
     t = freshen(d.term, clash)
     return d if t is d.term else _retarget(d, t)
+
+
+def _arrows(premises, binder: str) -> Mult:
+    """The multiset [M_i -> s_i] that an abstraction's premises realize."""
+    return Mult(tuple(Arrow(p.env_dict.get(binder, EMPTY), p.ty) for p in premises))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +96,7 @@ def _split_value(dv: Derivation, need: Mult) -> tuple[Derivation, Derivation]:
     one proving the rest."""
     match dv.rule:
         case "var":
-            x = dv.term.name
-            rest = mult_minus(dv.ty, need)
-            return (
-                mk("var", {x: need}, dv.term, need),
-                mk("var", {x: rest}, dv.term, rest),
-            )
+            return derive("var", dv.term, need), derive("var", dv.term, mult_minus(dv.ty, need))
         case "abs":
             binder = dv.term.binder
             avail = list(dv.premises)
@@ -119,36 +110,23 @@ def _split_value(dv: Derivation, need: Mult) -> tuple[Derivation, Derivation]:
                     raise TransformError(
                         f"value derivation cannot supply {show_ty(want)}"
                     )
-
-            def pack(ps: list[Derivation]) -> Derivation:
-                env = env_sum(*(env_minus(p.env_dict, binder)[1] for p in ps))
-                ty = Mult(tuple(Arrow(p.env_dict.get(binder, EMPTY), p.ty) for p in ps))
-                return mk("abs", env, dv.term, ty, tuple(ps))
-
-            return pack(taken), pack(avail)
+            return tuple(derive("abs", dv.term, _arrows(ps, binder), tuple(ps))
+                         for ps in (taken, avail))
         case r:
             raise TransformError(f"a value derivation ends in var or abs, not {r}")
 
 
 def _merge_values_v(collected: list[Derivation], v: Term) -> Derivation:
     if not collected:
-        match v:
-            case Var(_):
-                return mk("var", {}, v, EMPTY)
-            case Abs(_, _):
-                return mk("abs", {}, v, EMPTY)
-            case _:
-                raise TransformError("only values are merged")
+        if not isinstance(v, (Var, Abs)):
+            raise TransformError("only values are merged")
+        return derive("var" if isinstance(v, Var) else "abs", v, EMPTY)
     term = collected[0].term
     if all(c.rule == "var" for c in collected):
-        total = Mult(tuple(i for c in collected for i in c.ty.items))
-        return mk("var", {term.name: total}, term, total)
+        return derive("var", term, mult_sum(*(c.ty for c in collected)))
     if all(c.rule == "abs" for c in collected):
         premises = tuple(p for c in collected for p in c.premises)
-        binder = term.binder
-        env = env_sum(*(env_minus(p.env_dict, binder)[1] for p in premises))
-        ty = Mult(tuple(Arrow(p.env_dict.get(binder, EMPTY), p.ty) for p in premises))
-        return mk("abs", env, term, ty, premises)
+        return derive("abs", term, _arrows(premises, term.binder), premises)
     raise TransformError("mixed value derivations cannot be merged")
 
 
@@ -156,100 +134,31 @@ def _merge_values_v(collected: list[Derivation], v: Term) -> Derivation:
 # Substitution on derivations (the sv / sN contraction core)
 
 
-def _subst_deriv_v(db: Derivation, x: str, dv: Derivation) -> Derivation:
-    """Rebuild a derivation of t{x:=v} from one of t, splitting the
-    value derivation across the occurrences of x."""
-    v = dv.term
-    db = _freshen_deriv(db, free_vars(v) | {x})
-    pool = [dv]
-
-    def go(d: Derivation) -> Derivation:
-        match d.rule:
-            case "var":
-                if d.term.name != x:
-                    return d
-                taken, rest = _split_value(pool[0], d.ty)
-                pool[0] = rest
-                return taken
-            case "abs":
-                if not d.premises:
-                    return mk("abs", {}, subst(d.term, {x: v}), d.ty)
-                y = d.term.binder
-                ps = tuple(go(p) for p in d.premises)
-                env = env_sum(*(env_minus(p.env_dict, y)[1] for p in ps))
-                return mk("abs", env, Abs(y, ps[0].term), d.ty, ps)
-            case "app":
-                p0, p1 = (go(p) for p in d.premises)
-                return mk(
-                    "app",
-                    env_sum(p0.env_dict, p1.env_dict),
-                    App(p0.term, p1.term),
-                    d.ty,
-                    (p0, p1),
-                )
-            case "es":
-                y = d.term.binder
-                p0 = go(d.premises[0])
-                p1 = go(d.premises[1])
-                _, rest = env_minus(p0.env_dict, y)
-                return mk(
-                    "es",
-                    env_sum(rest, p1.env_dict),
-                    Es(p0.term, y, p1.term),
-                    d.ty,
-                    (p0, p1),
-                )
-            case r:
-                raise TransformError(f"unknown rule {r}")
-
-    out = go(db)
-    leftover = pool[0].ty
-    if leftover != EMPTY:
-        raise TransformError(f"value derivation not exhausted: {show_ty(leftover)} left")
-    return out
-
-
-def _subst_deriv_n(db: Derivation, x: str, u: Term, args: list[Derivation]) -> Derivation:
-    """Rebuild a derivation of t{x:=u} from one of t, handing one
-    argument derivation to each typed occurrence of x."""
+def _subst_deriv(db: Derivation, x: str, u: Term, occurrence) -> Derivation:
+    """Rebuild a derivation of t{x:=u} from one of t.  Each typed
+    occurrence of x gets the derivation occurrence(type) returns: in
+    system V a part split off the value's derivation, in system N one
+    of the argument derivations.  Subterms that no premise types are
+    substituted as terms."""
     db = _freshen_deriv(db, free_vars(u) | {x})
-    pool = list(args)
 
     def go(d: Derivation) -> Derivation:
-        match d.rule:
-            case "var":
-                if d.term.name != x:
-                    return d
-                want = d.ty
-                for i, p in enumerate(pool):
-                    if p.ty == want:
-                        return pool.pop(i)
-                raise TransformError(f"no argument derivation of {show_ty(want)}")
-            case "abs":
-                y = d.term.binder
-                p = go(d.premises[0])
-                _, rest = env_minus(p.env_dict, y)
-                return mk("abs", rest, Abs(y, p.term), d.ty, (p,))
-            case "app":
-                ps = tuple(go(p) for p in d.premises)
-                arg = ps[1].term if len(ps) > 1 else subst(d.term.arg, {x: u})
-                env = env_sum(*(p.env_dict for p in ps))
-                return mk("app", env, App(ps[0].term, arg), d.ty, ps)
-            case "es":
-                y = d.term.binder
-                p0 = go(d.premises[0])
-                rest_ps = tuple(go(p) for p in d.premises[1:])
-                arg = rest_ps[0].term if rest_ps else subst(d.term.arg, {x: u})
-                _, rest = env_minus(p0.env_dict, y)
-                env = env_sum(rest, *(p.env_dict for p in rest_ps))
-                return mk("es", env, Es(p0.term, y, arg), d.ty, (p0,) + rest_ps)
-            case r:
-                raise TransformError(f"unknown rule {r}")
+        t = d.term
+        if d.rule == "var":
+            return occurrence(d.ty) if t.name == x else d
+        ps = tuple(go(p) for p in d.premises)
+        match t:
+            case Abs(y, _):
+                term = Abs(y, ps[0].term) if ps else subst(t, {x: u})
+            case App(_, a):
+                term = App(ps[0].term, ps[1].term if len(ps) > 1 else subst(a, {x: u}))
+            case Es(_, y, a):
+                term = Es(ps[0].term, y, ps[1].term if len(ps) > 1 else subst(a, {x: u}))
+            case _:
+                raise TransformError(f"unknown rule {d.rule}")
+        return derive(d.rule, term, d.ty, ps)
 
-    out = go(db)
-    if pool:
-        raise TransformError("argument derivations left over")
-    return out
+    return go(db)
 
 
 # ---------------------------------------------------------------------------
@@ -270,38 +179,28 @@ def _anti_subst(
                 if y in mapping or y != x:
                     return d
                 collected.append(d)
-                if system == SYS_V:
-                    if not isinstance(d.ty, Mult):
-                        raise TransformError("a value occurrence must type with a multiset")
-                    return mk("var", {x: d.ty}, Var(x), d.ty)
-                return mk("var", {x: Mult((d.ty,))}, Var(x), d.ty)
+                if system == SYS_V and not isinstance(d.ty, Mult):
+                    raise TransformError("a value occurrence must type with a multiset")
+                return derive("var", Var(x), d.ty)
             case Abs(y, bb):
                 if d.rule != "abs":
                     raise TransformError("derivation out of step with the source term")
                 if not d.premises:
-                    return mk("abs", {}, subst(b, mapping), d.ty)
+                    return derive("abs", subst(b, mapping), d.ty)
                 ab = d.term.binder
                 ps = tuple(go(p, bb, {**mapping, y: Var(ab)}) for p in d.premises)
-                env = env_sum(*(env_minus(p.env_dict, ab)[1] for p in ps))
-                return mk("abs", env, Abs(ab, ps[0].term), d.ty, ps)
-            case App(bf, ba):
-                if d.rule != "app":
+                return derive("abs", Abs(ab, ps[0].term), d.ty, ps)
+            case App(bf, ba) | Es(bf, _, ba):
+                rule = "app" if isinstance(b, App) else "es"
+                if d.rule != rule:
                     raise TransformError("derivation out of step with the source term")
-                p0 = go(d.premises[0], bf, mapping)
-                rest = tuple(go(p, ba, mapping) for p in d.premises[1:])
-                arg = rest[0].term if rest else subst(ba, mapping)
-                env = env_sum(*(p.env_dict for p in (p0,) + rest))
-                return mk("app", env, App(p0.term, arg), d.ty, (p0,) + rest)
-            case Es(bb, y, ba):
-                if d.rule != "es":
-                    raise TransformError("derivation out of step with the source term")
-                ab = d.term.binder
-                p0 = go(d.premises[0], bb, {**mapping, y: Var(ab)})
-                rest = tuple(go(p, ba, mapping) for p in d.premises[1:])
-                arg = rest[0].term if rest else subst(ba, mapping)
-                _, outer = env_minus(p0.env_dict, ab)
-                env = env_sum(outer, *(p.env_dict for p in rest))
-                return mk("es", env, Es(p0.term, ab, arg), d.ty, (p0,) + rest)
+                inner = mapping if rule == "app" else {**mapping, b.binder: Var(d.term.binder)}
+                ps = (go(d.premises[0], bf, inner),) + tuple(
+                    go(p, ba, mapping) for p in d.premises[1:])
+                arg = ps[1].term if len(ps) > 1 else subst(ba, mapping)
+                term = (App(ps[0].term, arg) if rule == "app"
+                        else Es(ps[0].term, d.term.binder, arg))
+                return derive(rule, term, d.ty, ps)
             case _:
                 raise TransformError("cannot walk this term shape")
 
@@ -322,20 +221,13 @@ def _peel_chain(d: Derivation, n: int | None = None) -> tuple[list[Derivation], 
     return chain, d
 
 
-def _wrap_chain(chain: list[Derivation], core: Derivation, system: str) -> Derivation:
+def _wrap_chain(chain: list[Derivation], core: Derivation) -> Derivation:
     for node in reversed(chain):
         binder = node.term.binder
         args = node.premises[1:]
-        m, rest = env_minus(core.env_dict, binder)
-        if system == SYS_V:
-            if args[0].ty != m:
-                raise TransformError("substitution spine demand changed")
-            env = env_sum(rest, args[0].env_dict)
-        else:
-            if Mult(tuple(p.ty for p in args)) != m:
-                raise TransformError("substitution spine demand changed")
-            env = env_sum(rest, *(p.env_dict for p in args))
-        core = mk("es", env, Es(core.term, binder, node.term.arg), core.ty, (core,) + args)
+        if core.env_dict.get(binder, EMPTY) != mult_sum(*(demand(p.ty) for p in args)):
+            raise TransformError("substitution spine demand changed")
+        core = derive("es", Es(core.term, binder, node.term.arg), core.ty, (core,) + args)
     return core
 
 
@@ -353,11 +245,8 @@ def _reduce_db(d: Derivation, system: str) -> Derivation:
     if not core.premises:
         raise TransformError("dB cannot fire on an untyped abstraction body")
     ds = core.premises[0]
-    xa = core.term.binder
-    _, rest = env_minus(ds.env_dict, xa)
-    env = env_sum(rest, *(p.env_dict for p in dargs))
-    new_core = mk("es", env, Es(ds.term, xa, arg_term), ds.ty, (ds,) + dargs)
-    out = _wrap_chain(chain, new_core, system)
+    new_core = derive("es", Es(ds.term, core.term.binder, arg_term), ds.ty, (ds,) + dargs)
+    out = _wrap_chain(chain, new_core)
     _check_same_judgment(d, out)
     return out
 
@@ -369,21 +258,15 @@ def _expand_db(d: Derivation, before_sub: Term, system: str) -> Derivation:
         raise TransformError("contractum is not a substitution node")
     ds, dargs = des.premises[0], des.premises[1:]
     xa = des.term.binder
-    m, rest = env_minus(ds.env_dict, xa)
-    if system == SYS_V:
-        abs_ty: object = Mult((Arrow(m, ds.ty),))
-    else:
-        abs_ty = Arrow(m, ds.ty)
-    d_abs = mk("abs", rest, Abs(xa, ds.term), abs_ty, (ds,))
-    clash = {c.term.binder for c in chain} & set(
-        free_vars(dargs[0].term if dargs else des.term.arg)
-    )
+    arrow = Arrow(ds.env_dict.get(xa, EMPTY), ds.ty)
+    abs_ty = Mult((arrow,)) if system == SYS_V else arrow
+    d_abs = derive("abs", Abs(xa, ds.term), abs_ty, (ds,))
+    arg_term = dargs[0].term if dargs else des.term.arg
+    clash = {c.term.binder for c in chain} & set(free_vars(arg_term))
     if clash:
         raise TransformError(f"argument uses spine binders {clash}")
-    d_fun = _wrap_chain(chain, d_abs, system)
-    arg_term = dargs[0].term if dargs else des.term.arg
-    env = env_sum(d_fun.env_dict, *(p.env_dict for p in dargs))
-    out = mk("app", env, App(d_fun.term, arg_term), ds.ty, (d_fun,) + dargs)
+    d_fun = _wrap_chain(chain, d_abs)
+    out = derive("app", App(d_fun.term, arg_term), ds.ty, (d_fun,) + dargs)
     _check_same_judgment(d, out)
     return out
 
@@ -399,8 +282,16 @@ def _reduce_sv(d: Derivation) -> Derivation:
         raise TransformError("sv expects a value under the spine")
     if db.env_dict.get(x, EMPTY) != dv.ty:
         raise TransformError("binder demand does not match the value's multiset")
-    nd = _subst_deriv_v(db, x, dv)
-    out = _wrap_chain(chain, nd, SYS_V)
+    pool = [dv]
+
+    def split(need: Mult) -> Derivation:
+        taken, pool[0] = _split_value(pool[0], need)
+        return taken
+
+    nd = _subst_deriv(db, x, dv.term, split)
+    if pool[0].ty != EMPTY:
+        raise TransformError(f"value derivation not exhausted: {show_ty(pool[0].ty)} left")
+    out = _wrap_chain(chain, nd)
     _check_same_judgment(d, out)
     return out
 
@@ -417,15 +308,8 @@ def _expand_sv(d: Derivation, before_sub: Term) -> Derivation:
     dv = _merge_values_v(collected, v_after)
     if db.env_dict.get(x, EMPTY) != dv.ty:
         raise TransformError("collected value demand is inconsistent")
-    darg = _wrap_chain(chain, dv, SYS_V)
-    _, rest = env_minus(db.env_dict, x)
-    out = mk(
-        "es",
-        env_sum(rest, darg.env_dict),
-        Es(db.term, x, darg.term),
-        nd.ty,
-        (db, darg),
-    )
+    darg = _wrap_chain(chain, dv)
+    out = derive("es", Es(db.term, x, darg.term), nd.ty, (db, darg))
     _check_same_judgment(d, out)
     return out
 
@@ -433,9 +317,17 @@ def _expand_sv(d: Derivation, before_sub: Term) -> Derivation:
 def _reduce_sn(d: Derivation) -> Derivation:
     if d.rule != "es":
         raise TransformError("sN expects a substitution node")
-    db, dargs = d.premises[0], list(d.premises[1:])
-    x = d.term.binder
-    out = _subst_deriv_n(db, x, d.term.arg, dargs)
+    pool = list(d.premises[1:])
+
+    def pop(want) -> Derivation:
+        for i, p in enumerate(pool):
+            if p.ty == want:
+                return pool.pop(i)
+        raise TransformError(f"no argument derivation of {show_ty(want)}")
+
+    out = _subst_deriv(d.premises[0], d.term.binder, d.term.arg, pop)
+    if pool:
+        raise TransformError("argument derivations left over")
     _check_same_judgment(d, out)
     return out
 
@@ -446,10 +338,8 @@ def _expand_sn(d: Derivation, before_sub: Term) -> Derivation:
     db, collected = _anti_subst(d, before_sub.body, x, SYS_N)
     # the occurrences may type alpha-variants of u: the argument
     # premises must type u itself
-    collected = [_retarget(c, u) for c in collected]
-    _, rest = env_minus(db.env_dict, x)
-    env = env_sum(rest, *(c.env_dict for c in collected))
-    out = mk("es", env, Es(db.term, x, u), d.ty, (db,) + tuple(collected))
+    collected = tuple(_retarget(c, u) for c in collected)
+    out = derive("es", Es(db.term, x, u), d.ty, (db,) + collected)
     _check_same_judgment(d, out)
     return out
 
@@ -476,20 +366,7 @@ def _walk(d: Derivation, pos: Position, system: str, transform) -> Derivation:
         )
     child = _walk(d.premises[idx], pos[1:], system, transform)
     premises = d.premises[:idx] + (child,) + d.premises[idx + 1 :]
-    match d.term, edge:
-        case App(_, a), "l":
-            term: Term = App(child.term, a)
-        case App(f, _), "r":
-            term = App(f, child.term)
-        case Es(_, x, a), "s":
-            term = Es(child.term, x, a)
-        case Es(b, x, _), "e":
-            term = Es(b, x, child.term)
-        case Abs(x, _), "b":
-            term = Abs(x, child.term)
-        case _:
-            raise TransformError("derivation term out of step with the position")
-    return mk(d.rule, d.env_dict, term, d.ty, premises)
+    return derive(d.rule, replace_at(d.term, (edge,), child.term), d.ty, premises)
 
 
 def reduce_derivation(d: Derivation, step: Step, system: str) -> Derivation:
@@ -559,7 +436,8 @@ def typable(t: Term, calculus: str, fuel: int | None = None):
     system = SYSTEM_OF[calculus]
     for step in reversed(trace.steps):
         d = expand_derivation(d, step, system)
-    return "typable", d
+    # the steps chose the binder names of the terms they passed through
+    return "typable", d if d.term == t else _retarget(d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -582,28 +460,20 @@ def typed_genericity(d: Derivation, ctx: Term, u: Term, system: str) -> Derivati
             raise GenericityContradiction(
                 "the derivation types the plugged subterm itself"
             )
-        new_term = plug(c, u)
         match c:
             case Abs(_, cb):
                 if d.rule != "abs":
                     raise TransformError("derivation out of step with the context")
                 ps = tuple(go(p, cb) for p in d.premises)
-            case App(cf, ca):
-                if d.rule != "app":
+            case App(cf, ca) | Es(cf, _, ca):
+                if d.rule != ("app" if isinstance(c, App) else "es"):
                     raise TransformError("derivation out of step with the context")
-                if hole_edge(c) == "l":
+                if hole_edge(c) in ("l", "s"):
                     ps = (go(d.premises[0], cf),) + d.premises[1:]
-                else:
-                    ps = (d.premises[0],) + tuple(go(p, ca) for p in d.premises[1:])
-            case Es(cb, _, ca):
-                if d.rule != "es":
-                    raise TransformError("derivation out of step with the context")
-                if hole_edge(c) == "s":
-                    ps = (go(d.premises[0], cb),) + d.premises[1:]
                 else:
                     ps = (d.premises[0],) + tuple(go(p, ca) for p in d.premises[1:])
             case _:
                 raise TransformError("a context is built from abs, app and es")
-        return mk(d.rule, d.env_dict, new_term, d.ty, ps)
+        return derive(d.rule, plug(c, u), d.ty, ps)
 
     return go(d, ctx)

@@ -21,8 +21,6 @@ Arguments in N carry one premise per multiset element, possibly none.
 
 from __future__ import annotations
 
-import itertools
-
 from .terms import Abs, App, Es, Term, Var, show
 from .nf import classify_nf, NOT_NF
 from .terms import CBN, CBV
@@ -35,10 +33,10 @@ from .types_core import (
     SYS_V,
     Ty,
     TyVar,
+    derive,
     env_eq,
     env_minus,
     env_sum,
-    mk,
     show_ty,
     valid_ty,
 )
@@ -173,13 +171,6 @@ class NotTypable(ValueError):
     pass
 
 
-_FRESH_TY = itertools.count()
-
-
-def fresh_tyvar() -> TyVar:
-    return TyVar(f"a{next(_FRESH_TY)}")
-
-
 def _synth_v(t: Term, demand: Ty) -> Derivation:
     """System V: give t the demanded type, driving demands top down.
 
@@ -188,23 +179,20 @@ def _synth_v(t: Term, demand: Ty) -> Derivation:
     ever demanded the empty multiset, typing with an empty family.
     """
     match t:
-        case Var(x):
+        case Var(_):
             if not isinstance(demand, Mult):
                 raise NotTypable("variables type with multisets")
-            return mk("var", {x: demand}, t, demand)
+            return derive("var", t, demand)
         case Abs(_, _):
             if demand != EMPTY:
                 raise NotTypable(f"cannot push demand {show_ty(demand)} into an abstraction")
-            return mk("abs", {}, t, EMPTY)
+            return derive("abs", t, EMPTY)
         case App(f, a):
             df = _synth_v(f, Mult((Arrow(EMPTY, demand),)))
-            da = _synth_v(a, EMPTY)
-            return mk("app", env_sum(df.env_dict, da.env_dict), t, demand, (df, da))
+            return derive("app", t, demand, (df, _synth_v(a, EMPTY)))
         case Es(b, x, a):
             db = _synth_v(b, demand)
-            m, rest = env_minus(db.env_dict, x)
-            da = _synth_v(a, m)
-            return mk("es", env_sum(rest, da.env_dict), t, demand, (db, da))
+            return derive("es", t, demand, (db, _synth_v(a, db.env_dict.get(x, EMPTY))))
         case _:
             raise NotTypable(f"{show(t)} is not typable")
 
@@ -212,28 +200,26 @@ def _synth_v(t: Term, demand: Ty) -> Derivation:
 def _synth_n(t: Term) -> Derivation:
     """System N: type a level-0 call-by-name normal form.
 
-    Abstractions are synthesized bottom up; a neutral spine is given an
-    arrow chain of empty sources ending in a fresh type variable, so
-    the arguments need no derivation at all.
+    Abstractions are synthesized bottom up; the one neutral spine under
+    them is given an arrow chain of empty sources ending in the type
+    variable a0, so the arguments need no derivation at all.
     """
 
     def neutral(t: Term, demand: Ty) -> Derivation:
         match t:
-            case Var(x):
-                return mk("var", {x: Mult((demand,))}, t, demand)
-            case App(f, a):
-                df = neutral(f, Arrow(EMPTY, demand))
-                return mk("app", df.env_dict, t, demand, (df,))
+            case Var(_):
+                return derive("var", t, demand)
+            case App(f, _):
+                return derive("app", t, demand, (neutral(f, Arrow(EMPTY, demand)),))
             case _:
                 raise NotTypable(f"{show(t)} is not a neutral term")
 
     match t:
         case Abs(x, b):
             db = _synth_n(b)
-            m, rest = env_minus(db.env_dict, x)
-            return mk("abs", rest, t, Arrow(m, db.ty), (db,))
+            return derive("abs", t, Arrow(db.env_dict.get(x, EMPTY), db.ty), (db,))
         case _:
-            return neutral(t, fresh_tyvar())
+            return neutral(t, TyVar("a0"))
 
 
 def synth_nf_derivation(t: Term, calculus: str) -> Derivation:

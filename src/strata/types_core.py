@@ -136,7 +136,49 @@ class Derivation:
 
 def mk(rule: str, env: Env, term: Term, ty: Ty,
        premises: tuple[Derivation, ...] = ()) -> Derivation:
+    """A node with the given environment, for derivations read from outside."""
     return Derivation(rule, tuple(sorted(env_norm(env).items())), term, ty, premises)
+
+
+def demand(ty: Ty) -> Mult:
+    """What a variable, or an argument, typed with ty asks of the
+    environment: ty itself in system V, where it is a multiset, and
+    [ty] in system N."""
+    return ty if isinstance(ty, Mult) else Mult((ty,))
+
+
+def derive(rule: str, term: Term, ty: Ty,
+           premises: tuple[Derivation, ...] = ()) -> Derivation:
+    """A node whose environment is computed as its rule computes it:
+    var carries its own demand, abs sums its premises without the
+    binder, app sums its premises, and es sums its head without the
+    binder and its arguments."""
+
+    def without(env: tuple, x: str) -> tuple:
+        return tuple(entry for entry in env if entry[0] != x)
+
+    match rule:
+        case "var":
+            own = demand(ty)
+            env = ((term.name, own),) if own.items else ()
+            return Derivation(rule, env, term, ty, premises)
+        case "abs":
+            parts = [without(p.env, term.binder) for p in premises]
+        case "app":
+            parts = [p.env for p in premises]
+        case "es":
+            parts = [without(premises[0].env, term.binder)] + [p.env for p in premises[1:]]
+        case _:
+            raise ValueError(f"unknown rule {rule}")
+    # the premises' environments are sorted and hold no empty entry
+    parts = [env for env in parts if env]
+    if len(parts) > 1:
+        total: Env = {}
+        for env in parts:
+            for k, m in env:
+                total[k] = mult_sum(total[k], m) if k in total else m
+        parts = [tuple(sorted(total.items()))]
+    return Derivation(rule, parts[0] if parts else (), term, ty, premises)
 
 
 # ---------------------------------------------------------------------------

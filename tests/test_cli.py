@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand, its output, and its exit
-codes (0 success / yes, 1 no / failure, 2 undecided, 3 usage error)."""
+codes (0 success / yes, 1 no / failure, 2 undecided, 3 usage error,
+4 internal error)."""
 
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from strata import alpha_eq, parse
+from strata import cli
 from strata.cli import main
 
 from conftest import DELTA, ID, OMEGA_LOOP
@@ -19,6 +21,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strata_process(*argv):
+    """Run the CLI in a new process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "strata.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestUsage:
@@ -56,25 +67,45 @@ class TestFreshProcess:
 
     TERM = r"(\x.\y.\y1. x y) y"
 
-    @staticmethod
-    def strata(*argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "strata.cli", *argv],
-                               capture_output=True, text=True,
-                               env={**os.environ, "PYTHONPATH": path})
-
     def test_reduce_renames_without_capture(self):
-        done = self.strata("reduce", self.TERM, "--calculus", "cbn", "--level", "omega")
+        done = strata_process("reduce", self.TERM, "--calculus", "cbn", "--level", "omega")
         lines = done.stdout.splitlines()
         assert done.returncode == 0 and lines[-1] == "outcome: normal"
         final = lines[-2].split("--> ")[1]
         assert alpha_eq(parse(final), parse(r"\a.\b. y a"))
 
     def test_judge_finds_the_terms_convertible(self):
-        done = self.strata("judge", self.TERM, r"\a.\b. y a", "--calculus", "cbn")
+        done = strata_process("judge", self.TERM, r"\a.\b. y a", "--calculus", "cbn")
         assert done.returncode == 0
         assert done.stdout.startswith("conversion: equal")
+
+
+class TestInternalError:
+    """A failure of the machinery exits 4, which no verdict uses."""
+
+    def test_an_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_dispatch", crash)
+        code, out, err = run(capsys, "parse", "x")
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+    # deep enough to exhaust the default recursion limit
+    SPINE = "f" + " x" * 1200
+    NESTED = "\\x." * 1200 + "x"
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", SPINE),
+        ("type-infer", SPINE, "--calculus", "cbn"),
+        ("parse", NESTED),
+    ])
+    def test_a_deep_term_is_never_a_verdict(self, argv):
+        done = strata_process(*argv)
+        assert done.returncode in (0, 4), done.stderr
+        if done.returncode == 4:
+            assert done.stderr.startswith("internal error: ")
 
 
 class TestReduce:

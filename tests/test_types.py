@@ -24,6 +24,7 @@ from strata import (
     typable,
     typed_genericity,
 )
+from strata.corpus import enumerate_terms
 from strata.deriv_transform import (
     GenericityContradiction,
     expand_derivation,
@@ -120,6 +121,19 @@ class TestTypability:
         assert typable(t, CBV)[0] == "typable"
         assert typable(t, CBN)[0] == "untypable"
 
+    def test_types_its_input_not_an_alpha_variant(self):
+        # the steps rename the spine binder y out of the way of the argument
+        t = parse(r"((\x.x)[y\z]) y")
+        for calculus in (CBV, CBN):
+            status, d = typable(t, calculus)
+            assert status == "typable" and d.term == t
+
+    def test_type_variables_are_numbered_per_derivation(self):
+        t = parse(r"\x.x y")
+        first, second = typable(t, CBN), typable(t, CBN)
+        assert first == second
+        assert show_ty(first[1].ty) == "[[] -> a0] -> a0"
+
     def test_growing_term_is_unknown(self):
         status, d = typable(parse(r"(\x.x x x) (\x.x x x)"), CBV, fuel=40)
         assert status == "unknown" and d is None
@@ -156,6 +170,32 @@ class TestReplay:
             assert check_derivation(d, system) == []
         assert (d.env, d.ty) == top
         assert alpha_eq(d.term, trace.final)
+
+
+class TestExhaustiveReplay:
+    """Every term up to size 6: typable's derivation, carried along the
+    surface trace and back, stays valid with the same judgment."""
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_every_small_term(self, calculus, system):
+        for t in enumerate_terms(6):
+            status, d = typable(t, calculus)
+            # every term up to size 7 is typable in both calculi
+            assert status == "typable" and d.term == t
+            assert typable(t, calculus) == (status, d)
+            assert check_derivation(d, system) == []
+            top = (d.env, d.ty)
+            trace = normalize(t, calculus, 0.0)
+            forward = [d]
+            for step in trace.steps:
+                d = reduce_derivation(d, step, system)
+                assert check_derivation(d, system) == []
+                assert (d.env, d.ty) == top and alpha_eq(d.term, step.after)
+                forward.append(d)
+            for step, before in zip(reversed(trace.steps), reversed(forward[:-1])):
+                d = expand_derivation(d, step, system)
+                assert check_derivation(d, system) == []
+                assert (d.env, d.ty) == top and alpha_eq(d.term, before.term)
 
 
 class TestSerialization:
