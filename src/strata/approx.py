@@ -52,7 +52,7 @@ class Annotations:
     """User-supplied meaninglessness assertions, matched up to alpha."""
 
     def __init__(self, terms: list[Term] | None = None):
-        self._keys = {canonical(t) for t in (terms or [])}
+        self.keys = frozenset(canonical(t) for t in (terms or []))
 
     @classmethod
     def load(cls, path: str) -> "Annotations":
@@ -65,7 +65,7 @@ class Annotations:
         return cls(terms)
 
     def asserts_meaningless(self, t: Term) -> bool:
-        return canonical(t) in self._keys
+        return canonical(t) in self.keys
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,18 @@ class Oracle:
         self.fuel = fuel
         self.annotations = annotations or Annotations()
         self._memo: dict[tuple, MeaningReport] = {}
+        # the last approximant computed: for every node met on the way,
+        # by id(node), the node itself (so that its id stays taken) and
+        # its approximant
+        self._approximants: dict[int, tuple[Term, Term]] = {}
 
     def meaning(self, t: Term) -> MeaningReport:
         key = canonical(t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if self.annotations.asserts_meaningless(t):
+        asserted = self.annotations.keys
+        if asserted and key in asserted:
             report = MeaningReport(MEANINGLESS, None, asserted=True)
         else:
             trace = normalize(t, self.calculus, 0.0, self.fuel)
@@ -127,36 +132,63 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
     children the same way; if the pruned node carries a bot at surface
     level or still fails to surface-normalize, the divergence is
     inseparable from the node and it collapses to bot, otherwise the
-    pruned shape is kept."""
+    pruned shape is kept.  A node that pruning leaves unchanged is
+    returned as the same node.
+
+    The approximant of a node is taken from the oracle's table of the
+    last approximant computed, or from earlier in this one, whenever the
+    node is there: along a reduction, only the nodes that a step rebuilt
+    are approximated again."""
+    last = oracle._approximants
+    hit = last.get(id(t))
+    if hit is not None:
+        return hit[1]
+    table: dict[int, tuple[Term, Term]] = {}
 
     def go(t: Term, pos: Position) -> Term:
+        hit = last.get(id(t)) or table.get(id(t))
+        if hit is not None:
+            table[id(t)] = hit
+            return hit[1]
         status = oracle.status(t)
         if status == UNKNOWN:
             raise _Undecided(pos)
         match t:
             case Abs(x, b):
-                hat = Abs(x, go(b, pos + ("b",)))
+                b2 = go(b, pos + ("b",))
+                hat = t if b2 is b else Abs(x, b2)
             case App(f, a):
-                hat = App(go(f, pos + ("l",)), go(a, pos + ("r",)))
+                f2, a2 = go(f, pos + ("l",)), go(a, pos + ("r",))
+                hat = t if f2 is f and a2 is a else App(f2, a2)
             case Es(b, x, a):
-                hat = Es(go(b, pos + ("s",)), x, go(a, pos + ("e",)))
+                b2, a2 = go(b, pos + ("s",)), go(a, pos + ("e",))
+                hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
-        if status == MEANINGFUL:
-            return hat
-        if any(level_of(hat, p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
-            return BOT
-        trace = normalize(hat, oracle.calculus, 0.0, oracle.fuel)
-        if trace.outcome == "cycle":
-            return BOT
-        if trace.outcome != "normal":
-            raise _Undecided(pos)
+        if status == MEANINGLESS and _inseparable(hat, oracle, pos):
+            hat = BOT
+        table[id(t)] = (t, hat)
         return hat
 
     try:
-        return go(t, ())
+        hat = go(t, ())
     except _Undecided as exc:
         return Undetermined(exc.position)
+    oracle._approximants = table
+    return hat
+
+
+def _inseparable(hat: Term, oracle: Oracle, pos: Position) -> bool:
+    """The pruned form hat of a meaningless node still carries a bot at
+    surface level or still fails to surface-normalize."""
+    if any(level_of(hat, p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
+        return True
+    trace = normalize(hat, oracle.calculus, 0.0, oracle.fuel)
+    if trace.outcome == "cycle":
+        return True
+    if trace.outcome != "normal":
+        raise _Undecided(pos)
+    return False
 
 
 class _Undecided(Exception):

@@ -25,8 +25,8 @@ from .terms import (
     OMEGA,
     Term,
     Var,
+    agree,
     bot_positions,
-    canonical,
     level_of,
 )
 from .reduce import min_redex_level
@@ -133,7 +133,7 @@ def is_bno(t: Term, calculus: str, k: Level) -> bool:
 
 
 def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:
-    """Equality up to depth k of the stratification, on canonical keys.
+    """Equality up to depth k of the stratification.
 
     At level omega this is alpha-equality.  At a finite level the parts
     of the term out of reach of level-k reduction are not compared: in
@@ -141,26 +141,4 @@ def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:
     abstraction, in call-by-name it is the argument of an application
     or substitution that stops being compared.
     """
-
-    if calculus not in (CBV, CBN):
-        raise ValueError(f"unknown calculus {calculus!r}")
-    by_value = calculus == CBV
-
-    def go(t: tuple, u: tuple, k: Level) -> bool:
-        if t[0] != u[0]:
-            return False
-        match t[0]:
-            case "l":
-                if by_value:
-                    return k == 0 or go(t[1], u[1], _dec(k))
-                return go(t[1], u[1], k)
-            case "a" | "s":
-                if not go(t[1], u[1], k):
-                    return False
-                if by_value:
-                    return go(t[2], u[2], k)
-                return k == 0 or go(t[2], u[2], _dec(k))
-            case _:
-                return t == u
-
-    return go(canonical(t), canonical(u), k)
+    return agree(t, u, calculus, k)

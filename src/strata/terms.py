@@ -181,11 +181,21 @@ def level_of(t: Term, pos: Position, calculus: str) -> Level:
     counts argument edges (of applications and substitutions) crossed.
     """
     subterm_at(t, pos)  # validate
-    if calculus == CBV:
-        return float(sum(1 for e in pos if e == "b"))
-    if calculus == CBN:
-        return float(sum(1 for e in pos if e in ("r", "e")))
-    raise ValueError(f"unknown calculus {calculus!r}")
+    deep = _deep_edges(calculus)
+    return float(sum(1 for e in pos if e in deep))
+
+
+# the edges that lead one level deeper: binders by value, arguments (of
+# applications and substitutions) by name; the body of a substitution
+# is never deeper in either calculus
+_DEEP_EDGES = {CBV: ("b",), CBN: ("r", "e")}
+
+
+def _deep_edges(calculus: str) -> tuple[str, ...]:
+    deep = _DEEP_EDGES.get(calculus)
+    if deep is None:
+        raise ValueError(f"unknown calculus {calculus!r}")
+    return deep
 
 
 def size(t: Term) -> int:
@@ -313,24 +323,67 @@ def canonical(t: Term) -> tuple:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return canonical(t) == canonical(u)
+    return agree(t, u)
 
 
 def partial_leq(t: Term, u: Term) -> bool:
     """The approximation order: t is u with some subterms cut to bot.
 
-    Compares canonical keys, so up to alpha; bot is below everything,
-    and the order is structural everywhere else.
+    Up to alpha; bot is below everything, and the order is structural
+    everywhere else.
     """
+    return agree(t, u, bot_below=True)
 
-    def go(t: tuple, u: tuple) -> bool:
-        if t[0] == "bot":
-            return True
-        if t[0] != u[0] or t[0] in ("v", "f"):
-            return t == u
-        return all(go(tc, uc) for tc, uc in zip(t[1:], u[1:]))
 
-    return go(canonical(t), canonical(u))
+def agree(t: Term, u: Term, calculus: str = CBV, k: Level = OMEGA,
+          bot_below: bool = False) -> bool:
+    """t and u are alpha-equal down to level k of the calculus: the
+    parts of both terms deeper than k are not compared.  With
+    bot_below, a bot of t matches any subterm of u.
+
+    Walks both terms together and stops at the first difference.  A
+    node that both terms share is not walked when every binder above it
+    has the same name on both sides, as it then means the same on both.
+    """
+    deep = _deep_edges(calculus)
+
+    # left and right give the depth of the innermost binder of each name
+    # in scope on each side; the last child of a node is walked by the
+    # loop, the others by recursion
+    def go(t: Term, u: Term, k: Level, left: dict, right: dict,
+           depth: int, same: bool) -> bool:
+        while not (t is u and same):
+            kind = type(t)
+            if kind is Bot and bot_below:
+                return True
+            if kind is not type(u):
+                return False
+            if kind is Var:
+                i, j = left.get(t.name), right.get(u.name)
+                return i == j and (i is not None or t.name == u.name)
+            if kind is Abs:
+                left, right = {**left, t.binder: depth}, {**right, u.binder: depth}
+                same = same and t.binder == u.binder
+                edge, t, u, depth = "b", t.body, u.body, depth + 1
+            elif kind is App:
+                if not go(t.fun, u.fun, k, left, right, depth, same):
+                    return False
+                edge, t, u = "r", t.arg, u.arg
+            elif kind is Es:
+                if not go(t.body, u.body, k, {**left, t.binder: depth},
+                          {**right, u.binder: depth}, depth + 1,
+                          same and t.binder == u.binder):
+                    return False
+                edge, t, u = "e", t.arg, u.arg
+            else:
+                return True
+            if edge in deep:
+                if k == 0:
+                    return True
+                k -= 1
+        return True
+
+    return go(t, u, k, {}, {}, 0, True)
 
 
 def bot_positions(t: Term) -> list[Position]:

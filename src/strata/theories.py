@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import OMEGA, Term, alpha_eq, canonical, plug
+from .terms import OMEGA, Term, alpha_eq, canonical, hole_positions, plug, replace_at
 from .reduce import Trace, normalize
 from .approx import MEANINGFUL, MEANINGLESS, Oracle
 from .corpus import enumerate_contexts
@@ -82,8 +82,9 @@ def falsify_observational(
     meaningfulness; a witness refutes observational equivalence."""
     oracle = Oracle(calculus, fuel)
     for ctx in enumerate_contexts(max_context_size):
-        mt = oracle.status(plug(ctx, t))
-        mu = oracle.status(plug(ctx, u))
+        (hole,) = hole_positions(ctx)
+        mt = oracle.status(replace_at(ctx, hole, t))
+        mu = oracle.status(replace_at(ctx, hole, u))
         if {mt, mu} == {MEANINGFUL, MEANINGLESS}:
             return ctx
     return None

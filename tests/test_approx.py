@@ -3,8 +3,10 @@ approximation/lifting machinery."""
 
 import pytest
 
+import strata.approx
 from strata import (
     BOT,
+    CBN,
     CBV,
     Annotations,
     Collapsed,
@@ -20,10 +22,14 @@ from strata import (
     meaningful_approximant,
     normalize,
     parse,
+    parse_context,
     partial_leq,
+    plug,
     reduce_once,
 )
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
+from strata.corpus import enumerate_contexts
+from strata.terms import OMEGA
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -55,6 +61,15 @@ class TestOracle:
 
     def test_growing_term_is_unknown_within_fuel(self):
         assert Oracle(CBV, 40).status(parse(GROWER)) == UNKNOWN
+
+    def test_a_miss_builds_one_canonical_key(self, monkeypatch):
+        keys = []
+        canonical = strata.approx.canonical
+        monkeypatch.setattr(strata.approx, "canonical",
+                            lambda t: keys.append(t) or canonical(t))
+        oracle = Oracle(CBV, 40)
+        oracle.meaning(parse(OMEGA_LOOP))
+        assert len(keys) == 1
 
     def test_annotation_decides_a_growing_term(self, tmp_path):
         f = tmp_path / "meaningless.txt"
@@ -108,6 +123,64 @@ class TestApproximant:
         a = meaningful_approximant(parse(rf"\x.{GROWER}"), oracle)
         assert isinstance(a, Undetermined)
         assert a.position == ("b",)
+
+
+CHURCH_ADD = (r"(\k.(\m.\n.\f.\x.m f (n f x)) (\f.\x.f x) (\f.\x.f (f x)))"
+              r" (\z.@)")
+
+
+def _same_approximant(a, b):
+    if isinstance(a, Undetermined) or isinstance(b, Undetermined):
+        return a == b
+    return alpha_eq(a, b)
+
+
+class TestApproximantTable:
+    """One oracle reuses the approximants of the nodes a step leaves
+    alone; the answers must be those of a fresh oracle."""
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_along_traces_equals_a_fresh_oracle(self, calculus):
+        fuel = 12
+        fillers = [OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})", GROWER]
+        contexts = list(enumerate_contexts(3)) + [parse_context(CHURCH_ADD)]
+        undetermined = 0
+        for ctx in contexts:
+            for filler in fillers:
+                ct = plug(ctx, parse(filler))
+                oracle = Oracle(calculus, fuel)
+                terms = [ct]
+                for s in normalize(ct, calculus, OMEGA, fuel).steps:
+                    terms += [s.before, s.after]
+                for t in terms:
+                    shared = meaningful_approximant(t, oracle)
+                    fresh = meaningful_approximant(t, Oracle(calculus, fuel))
+                    assert _same_approximant(shared, fresh), (ctx, filler)
+                    undetermined += isinstance(fresh, Undetermined)
+        assert undetermined
+
+    def test_unpruned_nodes_are_returned_as_they_are(self, cbv_oracle):
+        t = parse(rf"(\x.x ({OMEGA_LOOP})) (\y.y y)")
+        a = meaningful_approximant(t, cbv_oracle)
+        assert alpha_eq(a, parse(r"(\x.bot) (\y.y y)"))
+        assert a.arg is t.arg
+        u = parse(r"\x.x (\y.y)")
+        assert meaningful_approximant(u, cbv_oracle) is u
+
+    def test_a_step_asks_only_about_the_nodes_it_rebuilt(self, monkeypatch):
+        oracle = Oracle(CBV, 40)
+        step = reduce_once(parse(rf"x (\y.y) (({ID}) z)"), CBV, 0.0)
+        meaningful_approximant(step.before, oracle)
+        asked = []
+        meaning = Oracle.meaning
+        monkeypatch.setattr(Oracle, "meaning",
+                            lambda self, t: asked.append(t) or meaning(self, t))
+        meaningful_approximant(step.after, oracle)
+        # the new root and the contractum i[i\z], whose children were met
+        # before
+        assert len(asked) == 2
+        meaningful_approximant(step.after, oracle)
+        assert len(asked) == 2
 
 
 class TestApproximateStep:

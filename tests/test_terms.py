@@ -1,6 +1,8 @@
 """Syntax layer: parsing, printing, substitution, alpha, the partial
 order, and one-hole contexts."""
 
+import random
+
 import pytest
 
 from strata import (
@@ -18,6 +20,7 @@ from strata import (
     partial_leq,
     plug,
     show,
+    strat_eq,
     subst,
 )
 from strata.terms import (
@@ -32,12 +35,13 @@ from strata.terms import (
     is_value,
     level_of,
     parse_level,
+    replace_at,
     size,
     subterm_at,
     subterms,
 )
 
-from strata.corpus import enumerate_contexts
+from strata.corpus import enumerate_contexts, random_term
 
 from conftest import ID, OMEGA_LOOP
 
@@ -229,6 +233,146 @@ class TestPartialOrder:
 
     def test_alpha_aware(self):
         assert partial_leq(parse(r"\x.x bot"), parse(r"\y.y z"))
+
+
+def _leq_by_keys(t, u):
+    """partial_leq on the canonical keys t and u."""
+
+    def go(t, u):
+        if t[0] == "bot":
+            return True
+        if t[0] != u[0] or t[0] in ("v", "f"):
+            return t == u
+        return all(go(tc, uc) for tc, uc in zip(t[1:], u[1:]))
+
+    return go(t, u)
+
+
+def _strat_eq_by_keys(t, u, calculus, k):
+    """strat_eq on the canonical keys t and u: by value a binder lowers
+    the level, by name the argument of an application or substitution
+    does."""
+
+    def go(t, u, k):
+        if t[0] != u[0]:
+            return False
+        lower = k if k == OMEGA else k - 1
+        match t[0]:
+            case "l":
+                if calculus == CBV:
+                    return k == 0 or go(t[1], u[1], lower)
+                return go(t[1], u[1], k)
+            case "a" | "s":
+                if not go(t[1], u[1], k):
+                    return False
+                if calculus == CBV:
+                    return go(t[2], u[2], k)
+                return k == 0 or go(t[2], u[2], lower)
+            case _:
+                return t == u
+
+    return go(t, u, k)
+
+
+CLASHING = ["x", "y", "z", "x0"]
+
+
+def _positions(t):
+    return [pos for pos, _ in subterms(t)]
+
+
+def _renamed_binders(rng, t):
+    """t with every binder renamed at random among a few names, with no
+    regard for capture; variables keep their names."""
+    match t:
+        case Abs(_, b):
+            return Abs(rng.choice(CLASHING), _renamed_binders(rng, b))
+        case App(f, a):
+            return App(_renamed_binders(rng, f), _renamed_binders(rng, a))
+        case Es(b, _, a):
+            return Es(_renamed_binders(rng, b), rng.choice(CLASHING),
+                      _renamed_binders(rng, a))
+        case _:
+            return t
+
+
+def _variant(rng, t):
+    """A term close to t: new nodes at a few positions, the rest of t
+    shared with it."""
+    for _ in range(rng.randint(0, 2)):
+        pos = rng.choice(_positions(t))
+        s = subterm_at(t, pos)
+        match rng.randrange(4):
+            case 0:  # another subterm, bot included
+                s = random_term(rng, rng.randint(1, 4), ("x", "y", "z"), 0.3)
+            case 1:  # another binder over the same, shared body
+                if isinstance(s, Abs):
+                    s = Abs(rng.choice(CLASHING), s.body)
+                elif isinstance(s, Es):
+                    s = Es(s.body, rng.choice(CLASHING), s.arg)
+            case 2:  # the same subterm under new binder names
+                s = _renamed_binders(rng, s)
+            case 3:
+                s = BOT
+        t = replace_at(t, pos, s)
+    return t
+
+
+def _random_pair(rng):
+    t = _renamed_binders(rng, random_term(rng, rng.randint(1, 10), ("x", "y", "z"), 0.15))
+    u = _variant(rng, t)
+    return (t, u) if rng.random() < 0.5 else (u, t)
+
+
+class TestTwoTermWalk:
+    """partial_leq, strat_eq and alpha_eq walk both terms at once; they
+    must answer as a comparison of canonical keys does."""
+
+    def test_agrees_with_canonical_keys_on_random_pairs(self):
+        rng = random.Random(6)
+        seen = {"leq": 0, "eq": 0, "alpha": 0}
+        for _ in range(100_000):
+            t, u = _random_pair(rng)
+            calculus = rng.choice((CBV, CBN))
+            k = rng.choice((0.0, 1.0, 2.0, OMEGA))
+            leq, eq, alpha = (partial_leq(t, u), strat_eq(t, u, calculus, k),
+                              alpha_eq(t, u))
+            kt, ku = canonical(t), canonical(u)
+            expected = (_leq_by_keys(kt, ku), _strat_eq_by_keys(kt, ku, calculus, k),
+                        kt == ku)
+            assert (leq, eq, alpha) == expected, \
+                (show(t, False), show(u, False), calculus, k)
+            seen["leq"] += leq
+            seen["eq"] += eq
+            seen["alpha"] += alpha
+        # both answers occur often enough for the comparison to mean something
+        assert all(20_000 < n < 80_000 for n in seen.values()), seen
+
+    def test_shared_body_under_different_binders(self):
+        n = Var("x")
+        for t, u in ((Abs("x", n), Abs("y", n)), (Es(n, "x", n), Es(n, "y", n))):
+            assert not partial_leq(t, u)
+            assert not alpha_eq(t, u)
+            for calculus in (CBV, CBN):
+                assert not strat_eq(t, u, calculus, OMEGA)
+
+    @staticmethod
+    def deep():
+        """A spine too deep to walk by recursion."""
+        t = Var("x")
+        for _ in range(5000):
+            t = App(t, Var("y"))
+        return t
+
+    def test_shared_node_under_equal_binders_is_not_walked(self):
+        deep = self.deep()
+        assert partial_leq(Abs("y", deep), Abs("y", deep))
+        assert strat_eq(Abs("y", deep), Abs("y", deep), CBN, OMEGA)
+
+    def test_bot_on_the_left_ends_the_walk(self):
+        deep = self.deep()
+        assert partial_leq(App(BOT, BOT), App(deep, deep))
+        assert not partial_leq(App(deep, deep), App(BOT, BOT))
 
 
 class TestContexts:
