@@ -41,7 +41,7 @@ from .terms import (
     parse,
     partial_leq,
 )
-from .reduce import Step, apply_step, normalize, redex_at
+from .reduce import Step, Trace, apply_step, normalize, redex_at
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
@@ -150,8 +150,8 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         if hit is not None:
             table[id(t)] = hit
             return hit[1]
-        status = oracle.status(t)
-        if status == UNKNOWN:
+        report = oracle.meaning(t)
+        if report.status == UNKNOWN:
             raise _Undecided(pos)
         match t:
             case Abs(x, b):
@@ -165,7 +165,8 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
-        if status == MEANINGLESS and _inseparable(hat, oracle, pos):
+        if report.status == MEANINGLESS and _inseparable(
+                hat, oracle, pos, report.witness if hat is t else None):
             hat = BOT
         table[id(t)] = (t, hat)
         return hat
@@ -178,12 +179,15 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
     return hat
 
 
-def _inseparable(hat: Term, oracle: Oracle, pos: Position) -> bool:
+def _inseparable(hat: Term, oracle: Oracle, pos: Position,
+                 cycle: Trace | None) -> bool:
     """The pruned form hat of a meaningless node still carries a bot at
-    surface level or still fails to surface-normalize."""
+    surface level or still fails to surface-normalize.  cycle is the
+    oracle's witness when pruning left the node unchanged, and then is
+    the surface trace of hat itself."""
     if any(level_of(hat, p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
         return True
-    trace = normalize(hat, oracle.calculus, 0.0, oracle.fuel)
+    trace = cycle or normalize(hat, oracle.calculus, 0.0, oracle.fuel)
     if trace.outcome == "cycle":
         return True
     if trace.outcome != "normal":

@@ -28,7 +28,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .summary import ABS, CORE, NO_REDEX, OTHER, fingerprint, min_level_field, summary
+from .summary import (
+    ABS, CORE, NO_REDEX, OTHER, fingerprint, min_level_field, summarize, summary,
+)
 from .terms import (
     CBN,
     CBV,
@@ -45,12 +47,14 @@ from .terms import (
     is_value,
     level_of,
     parse,
+    path_to,
     replace_at,
     show,
     show_level,
     subst,
     subterm_at,
     subterms,
+    with_child,
 )
 
 DB = "dB"
@@ -229,15 +233,25 @@ def _contract(t: Term, rule: str, calculus: str) -> Term:
 
 
 def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
-    """Contract one redex occurrence; re-validates the match first."""
-    sub = subterm_at(t, redex.position)
+    """Contract one redex occurrence; re-validates the match first.
+
+    One descent to the redex keeps the nodes on its path, and one ascent
+    rebuilds them over the contractum.  The result has its summary:
+    each rebuilt node gets it from its children's, so only the new nodes
+    of the contractum are walked."""
+    pos = redex.position
+    path = path_to(t, pos)
+    sub = path.pop()
     rule = _rule_at(sub, calculus)
     if rule != redex.rule:
-        raise ValueError(
-            f"no {redex.rule} redex at position {''.join(redex.position) or 'root'}"
-        )
-    after = replace_at(t, redex.position, _contract(sub, rule, calculus))
-    return Step(t, after, redex.position, rule, redex.level)
+        raise ValueError(f"no {redex.rule} redex at position {''.join(pos) or 'root'}")
+    summary(t)  # the siblings along the path need theirs
+    after = _contract(sub, rule, calculus)
+    summary(after)
+    for i in range(len(pos) - 1, -1, -1):
+        after = with_child(path[i], pos[i], after)
+        summarize(after)
+    return Step(t, after, pos, rule, redex.level)
 
 
 def reduce_once(t: Term, calculus: str, level: Level) -> Step | None:

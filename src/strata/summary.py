@@ -58,43 +58,61 @@ def summary(t: Term) -> tuple:
         kind = type(node)
         if kind is App or kind is Es:
             left = node.fun if kind is App else node.body
-            sl = getattr(left, "_summary", None)
-            if sl is None:
+            if getattr(left, "_summary", None) is None:
                 stack.append(left)
                 continue
-            sr = getattr(node.arg, "_summary", None)
-            if sr is None:
+            if getattr(node.arg, "_summary", None) is None:
                 stack.append(node.arg)
                 continue
-            fp = hash((2 if kind is App else 3, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK
-            if kind is Es:
-                # sN matches every substitution, sv one whose argument
-                # is a value under its spine
-                cbv = 0 if sr[CORE] != OTHER else min(sl[CBV_MIN], sr[CBV_MIN])
-                s = (fp, sl[CORE], cbv, 0)
-            elif sl[CORE] == ABS:  # dB at the node
-                s = (fp, OTHER, 0, 0)
-            else:
-                s = (fp, OTHER, min(sl[CBV_MIN], sr[CBV_MIN]),
-                     min(sl[CBN_MIN], _below(sr[CBN_MIN])))
-        elif kind is Abs:
-            sb = getattr(node.body, "_summary", None)
-            if sb is None:
-                stack.append(node.body)
-                continue
-            s = (hash((1, sb[FINGERPRINT])) & _MASK, ABS, _below(sb[CBV_MIN]), sb[CBN_MIN])
-        elif kind is Var:
-            s = _VAR
-        else:
-            s = _BOT if kind is Bot else _HOLE
-        _store(node, s)
+        elif kind is Abs and getattr(node.body, "_summary", None) is None:
+            stack.append(node.body)
+            continue
+        s = summarize(node)
         stack.pop()
     return s
 
 
-def _below(level):
-    """A relative level seen from one edge higher up that counts."""
-    return level if level == NO_REDEX else level + 1
+def summarize(node: Term) -> tuple:
+    """Compute and cache the summary of a node whose children have
+    theirs cached."""
+    # comparisons rather than min(), as this runs once per new node; a
+    # level seen across an edge that counts is one more, but NO_REDEX
+    # stays the one shared object
+    kind = type(node)
+    if kind is App:
+        sl, sr = node.fun._summary, node.arg._summary
+        fp = hash((2, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK
+        if sl[CORE] == ABS:  # dB at the node
+            s = (fp, OTHER, 0, 0)
+        else:
+            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
+            cbn, arg = sl[CBN_MIN], sr[CBN_MIN]
+            if arg != NO_REDEX and arg + 1 < cbn:
+                cbn = arg + 1
+            s = (fp, OTHER, cbv if cbv < right else right, cbn)
+    elif kind is Es:
+        sl, sr = node.body._summary, node.arg._summary
+        fp = hash((3, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK
+        # sN matches every substitution, sv one whose argument is a
+        # value under its spine
+        if sr[CORE] != OTHER:
+            cbv = 0
+        else:
+            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
+            if right < cbv:
+                cbv = right
+        s = (fp, sl[CORE], cbv, 0)
+    elif kind is Abs:
+        sb = node.body._summary
+        cbv = sb[CBV_MIN]
+        s = (hash((1, sb[FINGERPRINT])) & _MASK, ABS,
+             cbv if cbv == NO_REDEX else cbv + 1, sb[CBN_MIN])
+    elif kind is Var:
+        s = _VAR
+    else:
+        s = _BOT if kind is Bot else _HOLE
+    _store(node, s)
+    return s
 
 
 def fingerprint(t: Term) -> int:

@@ -35,11 +35,11 @@ Position = tuple[str, ...]
 
 
 class Node:
-    """Base of the term classes.  It reserves the slot in which
-    ``strata.summary`` caches a node's summary; construction leaves the
-    slot empty."""
+    """Base of the term classes.  It reserves the slots in which
+    ``strata.summary`` caches a node's summary and ``free_vars`` its
+    free names; construction leaves both slots empty."""
 
-    __slots__ = ("_summary",)
+    __slots__ = ("_summary", "_fv")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,17 +103,57 @@ def is_pure(t: Term) -> bool:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Abs(x, b):
-            return free_vars(b) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Es(b, x, a):
-            return (free_vars(b) - {x}) | free_vars(a)
-        case _:
-            return frozenset()
+    """The free names of t, cached on each compound node.
+
+    Iterative, as ``strata.summary.summary`` is: a node stays on the
+    stack until its children have their names.  A node whose names are
+    those of a child shares the child's set."""
+    fv = _known_fv(t)
+    if fv is not None:
+        return fv
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is Abs:
+            fv = _known_fv(node.body)
+            if fv is None:
+                stack.append(node.body)
+                continue
+            if node.binder in fv:
+                fv = fv - {node.binder}
+        else:  # an application or a substitution
+            left = node.fun if kind is App else node.body
+            fv = _known_fv(left)
+            if fv is None:
+                stack.append(left)
+                continue
+            fa = _known_fv(node.arg)
+            if fa is None:
+                stack.append(node.arg)
+                continue
+            if kind is Es and node.binder in fv:
+                fv = fv - {node.binder}
+            if not fa <= fv:
+                fv = fa if fv <= fa else fv | fa
+        _store_fv(node, fv)
+        stack.pop()
+    return fv
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+_store_fv = Node._fv.__set__  # writes the reserved slot of a frozen node
+
+
+def _known_fv(t: Term) -> frozenset[str] | None:
+    """The free names of a leaf, or the cached ones of a compound node;
+    None when they are not computed yet."""
+    kind = type(t)
+    if kind is Var:
+        return frozenset((t.name,))
+    if kind is Bot or kind is Hole:
+        return _NO_NAMES
+    return getattr(t, "_fv", None)
 
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
@@ -141,36 +181,42 @@ _EDGE_CHILD = {(Abs, "b"): "body", (App, "l"): "fun", (App, "r"): "arg",
                (Es, "s"): "body", (Es, "e"): "arg"}
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+def path_to(t: Term, pos: Position) -> list[Term]:
+    """The nodes on the way from the root of t to pos: the root first,
+    the subterm at pos last."""
+    path = [t]
     for edge in pos:
         child = _EDGE_CHILD.get((type(t), edge))
         if child is None:
             raise ValueError(f"position {''.join(pos)} not in term")
         t = getattr(t, child)
-    return t
+        path.append(t)
+    return path
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return path_to(t, pos)[-1]
+
+
+def with_child(node: Term, edge: str, child: Term) -> Term:
+    """A copy of node with child in place of its child along edge."""
+    if edge == "b":
+        return Abs(node.binder, child)
+    if edge == "l":
+        return App(child, node.arg)
+    if edge == "r":
+        return App(node.fun, child)
+    if edge == "s":
+        return Es(child, node.binder, node.arg)
+    return Es(node.body, node.binder, child)
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """t with the subterm at pos replaced by new; only the nodes on the
     path to pos are rebuilt."""
-    path = []
-    for edge in pos:
-        child = _EDGE_CHILD.get((type(t), edge))
-        if child is None:
-            raise ValueError(f"position {''.join(pos)} not in term")
-        path.append(t)
-        t = getattr(t, child)
-    for node, edge in zip(reversed(path), reversed(pos)):
-        if edge == "b":
-            new = Abs(node.binder, new)
-        elif edge == "l":
-            new = App(new, node.arg)
-        elif edge == "r":
-            new = App(node.fun, new)
-        elif edge == "s":
-            new = Es(new, node.binder, node.arg)
-        else:
-            new = Es(node.body, node.binder, new)
+    path = path_to(t, pos)
+    for i in range(len(pos) - 1, -1, -1):
+        new = with_child(path[i], pos[i], new)
     return new
 
 

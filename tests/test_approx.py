@@ -29,7 +29,7 @@ from strata import (
 )
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts
-from strata.terms import OMEGA
+from strata.terms import OMEGA, canonical
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -181,6 +181,34 @@ class TestApproximantTable:
         assert len(asked) == 2
         meaningful_approximant(step.after, oracle)
         assert len(asked) == 2
+
+
+    def test_an_unpruned_loop_is_not_normalized_again(self, monkeypatch):
+        normalized = []
+        normalize = strata.approx.normalize
+        monkeypatch.setattr(strata.approx, "normalize",
+                            lambda t, *a: normalized.append(t) or normalize(t, *a))
+        for c in (CBV, CBN):
+            for text in (OMEGA_LOOP, rf"(x x)[x\{DELTA}]", rf"\z.{OMEGA_LOOP}"):
+                oracle = Oracle(c, 40)
+                t = parse(text)
+                assert meaningful_approximant(t, oracle) is not t
+                # the oracle's cycle trace of a loop that pruning left as
+                # it was answers for it: no term is normalized twice
+                assert len(normalized) == len({canonical(u) for u in normalized}), (c, text)
+                normalized.clear()
+
+    def test_an_asserted_loop_is_still_normalized(self, monkeypatch):
+        normalized = []
+        normalize = strata.approx.normalize
+        monkeypatch.setattr(strata.approx, "normalize",
+                            lambda t, *a: normalized.append(t) or normalize(t, *a))
+        t = parse(GROWER)
+        oracle = Oracle(CBV, 40, Annotations([t]))
+        # the assertion carries no trace: pruning left the node as it
+        # was, and only normalizing it can tell whether it stays stuck
+        assert meaningful_approximant(t, oracle) == Undetermined(())
+        assert [u for u in normalized if u is t] == [t]
 
 
 class TestApproximateStep:

@@ -1,7 +1,11 @@
 """The guided leftmost-outermost engine against find_redexes, the full
 redex listing it replaces on the hot path; fingerprints and cached
-summaries; fuel semantics; and the typing regressions of the
+summaries; the summaries and free names that contraction caches; a pin
+on the traces; fuel semantics; and the typing regressions of the
 call-by-name expansion."""
+
+import hashlib
+import json
 
 import pytest
 
@@ -21,17 +25,22 @@ from strata import (
     normalize,
     parse,
     reduce_once,
+    show,
     typable,
 )
 from strata.cli import main
 from strata.corpus import enumerate_terms
 from strata.reduce import (
+    Redex,
+    apply_step,
     leftmost_redex,
     min_redex_level,
     plotkin_normalize,
     redex_at,
+    trace_to_dict,
 )
 from strata.summary import fingerprint, summary
+from strata.terms import Es, free_vars, subterm_at, subterms
 
 from conftest import ID, OMEGA_LOOP
 
@@ -141,6 +150,80 @@ class TestSummaries:
         assert min_redex_level(t, CBV) == 0.0
         assert leftmost_redex(t, CBV, 0.0).position == ("r",)
         assert is_normal(Abs("x", t), CBV, 0.0)
+
+
+def _names(t):
+    """The free names of t, by a walk that reads no cache."""
+    match t:
+        case Var(x):
+            return {x}
+        case Abs(x, b):
+            return _names(b) - {x}
+        case App(f, a):
+            return _names(f) | _names(a)
+        case Es(b, x, a):
+            return (_names(b) - {x}) | _names(a)
+        case _:
+            return set()
+
+
+class TestContractionCaches:
+    """apply_step gives each node it rebuilds a summary from its
+    children's, and subst and _contract read cached free names: both
+    must equal what a fresh computation gives."""
+
+    def test_rebuilt_summaries_and_cached_names_are_fresh(self, terms):
+        checked = 0
+        for t in terms:
+            for c in CALCULI:
+                for k in (0.0, 1.0, OMEGA):
+                    for step in normalize(t, c, k, 12).steps:
+                        # the same step again, its result not yet seen
+                        # by the redex search that would summarize it
+                        redex = Redex(step.position, step.rule, step.level)
+                        after = apply_step(step.before, redex, c).after
+                        unshared = parse(show(after, rename=False))
+                        for i in range(len(step.position) + 1):
+                            pos = step.position[:i]
+                            assert (subterm_at(after, pos)._summary
+                                    == summary(subterm_at(unshared, pos))), (t, c, k, pos)
+                        for pos, s in subterms(after):
+                            assert free_vars(s) == _names(s), (t, c, k, pos)
+                        checked += 1
+        assert checked > 10_000
+
+
+def _trace_hash(runs):
+    h = hashlib.sha256()
+    for t, c, k, fuel in runs:
+        h.update(json.dumps(trace_to_dict(normalize(t, c, k, fuel))).encode())
+    return h.hexdigest()
+
+
+def _church(n):
+    return r"\f.\x." + "f (" * n + "x" + ")" * n
+
+
+ADD, MUL, EXP = r"\m.\n.\f.\x.m f (n f x)", r"\m.\n.\f.m (n f)", r"\m.\n.n m"
+
+# SHA-256 over the JSON of the traces, as the engine gave them before
+# contraction cached summaries and free names
+SMALL_TERMS_PIN = "869a5334ef4682c4deee5b66221eaf517c727eebae6d00913e93ea7e5d3492ff"
+LONG_TRACES_PIN = "6af0c07de339845c2c1f8dba4b859376bb5f5c6ab2ac6cbd6703b4c9980bac59"
+
+
+def test_traces_of_small_terms_are_pinned():
+    assert _trace_hash((t, c, k, 30) for t in enumerate_terms(5) for c in CALCULI
+                       for k in (0.0, 1.0, OMEGA)) == SMALL_TERMS_PIN
+
+
+def test_long_traces_are_pinned():
+    runs = [(f"({EXP}) ({_church(2)}) ({_church(4)})", OMEGA, 2000),
+            (f"({MUL}) (({ADD}) ({_church(2)}) ({_church(2)})) ({_church(4)})", OMEGA, 2000),
+            (f"({EXP}) ({_church(4)}) ({_church(2)})", 1.0, 2000),
+            (r"(\x.x x x) (\x.x x x)", 0.0, 150)]  # deeper at every step
+    assert _trace_hash((parse(t), c, k, fuel) for t, k, fuel in runs
+                       for c in CALCULI) == LONG_TRACES_PIN
 
 
 class TestFuel:

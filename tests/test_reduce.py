@@ -4,6 +4,7 @@ pure-value calculus."""
 
 import pytest
 
+import strata.reduce
 from strata import (
     CBN,
     CBV,
@@ -20,6 +21,7 @@ from strata.reduce import (
     DB,
     SN,
     SV,
+    Redex,
     min_redex_level,
     plotkin_normalize,
     plotkin_redexes,
@@ -177,4 +179,32 @@ def test_apply_step_revalidates():
     t = parse(rf"({ID}) x")
     (r,) = find_redexes(t, CBV, 0.0)
     with pytest.raises(ValueError):
-        apply_step(parse("x y"), r, CBV)
+        apply_step(parse("x y"), r, CBV)  # no rule matches at the root
+    with pytest.raises(ValueError):
+        apply_step(t, Redex(("r",), SV, 0.0), CBV)  # x is no substitution
+    with pytest.raises(ValueError):
+        apply_step(t, Redex(("r", "l"), DB, 0.0), CBV)  # x has no children
+    with pytest.raises(ValueError):
+        apply_step(t, Redex(("l", "l"), DB, 0.0), CBV)  # an abstraction has no l
+
+
+@pytest.mark.parametrize("text", [
+    rf"({ID}) ({ID})", OMEGA_LOOP, r"(\x.x x x) (\x.x x x)",
+    r"(\m.\n.\f.m (n f)) (\f.\x.f (f x)) (\f.\x.f (f (f x)))",
+])
+def test_normalize_contracts_through_the_module_apply_step(monkeypatch, text):
+    """Every step of normalize is one call of strata.reduce.apply_step,
+    looked up at call time: a benchmark counts steps by patching it."""
+    calls = []
+    original = strata.reduce.apply_step
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strata.reduce, "apply_step", counting)
+    for c in (CBV, CBN):
+        for k in (0.0, OMEGA):
+            calls.clear()
+            tr = normalize(parse(text), c, k, 40)
+            assert len(calls) == len(tr.steps) > 0, (c, k)

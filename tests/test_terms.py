@@ -2,6 +2,7 @@
 order, and one-hole contexts."""
 
 import random
+import sys
 
 import pytest
 
@@ -422,3 +423,30 @@ class TestStructure:
     def test_purity_excludes_closures_and_bottom(self):
         assert is_pure(parse(r"\x.x y"))
         assert not is_pure(parse(r"(x)[x\y]")) and not is_pure(BOT)
+
+
+class TestFreeNames:
+    def test_deep_terms_need_no_deep_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            spine = Var("f")
+            for i in range(5000):
+                spine = App(spine, Var(f"a{i % 3}"))
+            assert free_vars(spine) == {"f", "a0", "a1", "a2"}
+            nested = Es(App(Var("v0"), Var("z")), "w", Var("u"))
+            for i in range(4999, -1, -1):
+                nested = Abs(f"v{i}", nested)
+            assert free_vars(nested) == {"z", "u"}
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_names_are_cached_and_shared(self):
+        t = parse(r"(\x.x y) (\z.y y)")
+        names = free_vars(t)
+        assert names == {"y"} and free_vars(t) is names
+        # the argument adds no name to the function's
+        assert names is free_vars(t.fun)
+        # z is not free in the body of \z.y y
+        assert free_vars(t.arg) is free_vars(t.arg.body)
+        assert free_vars(parse(r"\x.x")) == set() and free_vars(BOT) == set()
