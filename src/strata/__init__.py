@@ -53,7 +53,6 @@ from .genericity import (
     axiom_suite,
     reproduce_violation,
     stratified_genericity_check,
-    surface_genericity_check,
 )
 from .theories import (
     H,

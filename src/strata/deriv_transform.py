@@ -4,33 +4,20 @@ Both systems enjoy subject reduction and subject expansion for surface
 (level-0) steps: contracting or un-contracting a redex preserves the
 final judgment env |- term : type exactly.  The transformations here
 are constructive: given a derivation of one endpoint of a step they
-build a derivation of the other endpoint, recomputing environments
-bottom-up so the result can be re-checked independently.
+build a derivation of the other endpoint, over that endpoint's own
+subterms, recomputing environments bottom-up so the result can be
+re-checked independently.  One walker, _carry, moves a derivation
+onto a term of the same shape up to names; the rules differ only in
+what happens at the occurrences of the substituted variable.
 
-The same machinery yields the typed genericity transformer: a
+The same walker yields the typed genericity transformer: a
 derivation of C<t> with t meaningless never inspects t, so t can be
 replaced by any term without touching the judgment.
 """
 
 from __future__ import annotations
 
-from .terms import (
-    Abs,
-    App,
-    Es,
-    Hole,
-    Position,
-    Term,
-    Var,
-    alpha_eq,
-    free_vars,
-    freshen,
-    hole_positions,
-    plug,
-    replace_at,
-    subst,
-    subterm_at,
-)
+from .terms import Abs, App, Es, Hole, Position, Term, Var, alpha_eq, free_vars, path_to, plug
 from .reduce import Step, _peel_es_spine
 from .types_core import (
     EMPTY,
@@ -57,29 +44,36 @@ class GenericityContradiction(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Alpha-renaming inside derivations
+# Carrying a derivation onto a term
 
 
-def _retarget(d: Derivation, target: Term) -> Derivation:
-    """The derivation d of an alpha-variant of target, carried over so
-    that every node types the matching subterm of target itself."""
-    match d.rule, target:
+def _carry(d: Derivation, t: Term, x: str | None = None, hook=None) -> Derivation:
+    """d carried onto t, a term of the same shape up to names: the same
+    rules and types, each node over the matching subterm of t, with its
+    environment computed from t's names.  While x is free on both
+    sides, hook(d, t) takes over where either side is an occurrence of
+    x.  A hole of t is a subterm that d must not type."""
+    if d.term is t and (x is None or x not in free_vars(t)):
+        return d
+    if x is not None and (type(t) is Var and t.name == x
+                          or d.rule == "var" and d.term.name == x):
+        return hook(d, t)
+    match d.rule, t:
         case "var", Var(_):
-            premises = ()
-        case "abs", Abs(_, b):
-            premises = tuple(_retarget(p, b) for p in d.premises)
+            return derive("var", t, d.ty)
+        case "abs", Abs(y, b):
+            if x in (y, d.term.binder):
+                x = None
+            premises = tuple(_carry(p, b, x, hook) for p in d.premises)
         case ("app", App(f, a)) | ("es", Es(f, _, a)):
-            premises = (_retarget(d.premises[0], f),) + tuple(
-                _retarget(p, a) for p in d.premises[1:])
+            inner = None if d.rule == "es" and x in (t.binder, d.term.binder) else x
+            premises = (_carry(d.premises[0], f, inner, hook),) + tuple(
+                _carry(p, a, x, hook) for p in d.premises[1:])
+        case _, Hole():
+            raise GenericityContradiction("the derivation types the plugged subterm itself")
         case _:
             raise TransformError("derivation out of step with the term")
-    return derive(d.rule, target, d.ty, premises)
-
-
-def _freshen_deriv(d: Derivation, clash: frozenset[str]) -> Derivation:
-    """d with the binders of its term that are in clash renamed."""
-    t = freshen(d.term, clash)
-    return d if t is d.term else _retarget(d, t)
+    return derive(d.rule, t, d.ty, premises)
 
 
 def _arrows(premises, binder: str) -> Mult:
@@ -116,99 +110,35 @@ def _split_value(dv: Derivation, need: Mult) -> tuple[Derivation, Derivation]:
             raise TransformError(f"a value derivation ends in var or abs, not {r}")
 
 
-def _merge_values_v(collected: list[Derivation], v: Term) -> Derivation:
-    if not collected:
-        if not isinstance(v, (Var, Abs)):
-            raise TransformError("only values are merged")
-        return derive("var" if isinstance(v, Var) else "abs", v, EMPTY)
-    term = collected[0].term
-    if all(c.rule == "var" for c in collected):
-        return derive("var", term, mult_sum(*(c.ty for c in collected)))
-    if all(c.rule == "abs" for c in collected):
-        premises = tuple(p for c in collected for p in c.premises)
-        return derive("abs", term, _arrows(premises, term.binder), premises)
-    raise TransformError("mixed value derivations cannot be merged")
+def _merge_value(copies: list[Derivation], v: Term) -> Derivation:
+    """One derivation of the value v from the derivations of its copies."""
+    if isinstance(v, Var) and all(c.rule == "var" for c in copies):
+        return derive("var", v, mult_sum(*(c.ty for c in copies)))
+    if isinstance(v, Abs) and all(c.rule == "abs" for c in copies):
+        premises = tuple(_carry(p, v.body) for c in copies for p in c.premises)
+        return derive("abs", v, _arrows(premises, v.binder), premises)
+    raise TransformError("the copies of a value do not type it as one value")
+
+
+def _uncopy(d: Derivation, body: Term, x: str, system: str
+            ) -> tuple[Derivation, list[Derivation]]:
+    """From a derivation d of body{x:=u}, one of body and the derivations
+    of the copies of u that d types, in the order met."""
+    copies: list[Derivation] = []
+
+    def collect(c: Derivation, var: Term) -> Derivation:
+        if system == SYS_V and not isinstance(c.ty, Mult):
+            raise TransformError("a value occurrence must type with a multiset")
+        copies.append(c)
+        return derive("var", var, c.ty)
+
+    return _carry(d, body, x, collect), copies
 
 
 # ---------------------------------------------------------------------------
-# Substitution on derivations (the sv / sN contraction core)
-
-
-def _subst_deriv(db: Derivation, x: str, u: Term, occurrence) -> Derivation:
-    """Rebuild a derivation of t{x:=u} from one of t.  Each typed
-    occurrence of x gets the derivation occurrence(type) returns: in
-    system V a part split off the value's derivation, in system N one
-    of the argument derivations.  Subterms that no premise types are
-    substituted as terms."""
-    db = _freshen_deriv(db, free_vars(u) | {x})
-
-    def go(d: Derivation) -> Derivation:
-        t = d.term
-        if d.rule == "var":
-            return occurrence(d.ty) if t.name == x else d
-        ps = tuple(go(p) for p in d.premises)
-        match t:
-            case Abs(y, _):
-                term = Abs(y, ps[0].term) if ps else subst(t, {x: u})
-            case App(_, a):
-                term = App(ps[0].term, ps[1].term if len(ps) > 1 else subst(a, {x: u}))
-            case Es(_, y, a):
-                term = Es(ps[0].term, y, ps[1].term if len(ps) > 1 else subst(a, {x: u}))
-            case _:
-                raise TransformError(f"unknown rule {d.rule}")
-        return derive(d.rule, term, d.ty, ps)
-
-    return go(db)
-
-
-# ---------------------------------------------------------------------------
-# Anti-substitution: recover a derivation of t and the derivations of
-# the substituted occurrences from a derivation of t{x:=v}
-
-
-def _anti_subst(
-    nd: Derivation, b: Term, x: str, system: str
-) -> tuple[Derivation, list[Derivation]]:
-    collected: list[Derivation] = []
-
-    # mapping: each binder of the source in scope, to the variable of
-    # the derivation's binder that it became
-    def go(d: Derivation, b: Term, mapping: dict[str, Var]) -> Derivation:
-        match b:
-            case Var(y):
-                if y in mapping or y != x:
-                    return d
-                collected.append(d)
-                if system == SYS_V and not isinstance(d.ty, Mult):
-                    raise TransformError("a value occurrence must type with a multiset")
-                return derive("var", Var(x), d.ty)
-            case Abs(y, bb):
-                if d.rule != "abs":
-                    raise TransformError("derivation out of step with the source term")
-                if not d.premises:
-                    return derive("abs", subst(b, mapping), d.ty)
-                ab = d.term.binder
-                ps = tuple(go(p, bb, {**mapping, y: Var(ab)}) for p in d.premises)
-                return derive("abs", Abs(ab, ps[0].term), d.ty, ps)
-            case App(bf, ba) | Es(bf, _, ba):
-                rule = "app" if isinstance(b, App) else "es"
-                if d.rule != rule:
-                    raise TransformError("derivation out of step with the source term")
-                inner = mapping if rule == "app" else {**mapping, b.binder: Var(d.term.binder)}
-                ps = (go(d.premises[0], bf, inner),) + tuple(
-                    go(p, ba, mapping) for p in d.premises[1:])
-                arg = ps[1].term if len(ps) > 1 else subst(ba, mapping)
-                term = (App(ps[0].term, arg) if rule == "app"
-                        else Es(ps[0].term, d.term.binder, arg))
-                return derive(rule, term, d.ty, ps)
-            case _:
-                raise TransformError("cannot walk this term shape")
-
-    return go(nd, b, {}), collected
-
-
-# ---------------------------------------------------------------------------
-# Local transforms per rule, then navigation
+# Local transforms per rule, then navigation.  Each takes the derivation
+# of one endpoint's redex or contractum and the other endpoint's term at
+# that position.
 
 
 def _peel_chain(d: Derivation, n: int | None = None) -> tuple[list[Derivation], Derivation]:
@@ -221,23 +151,31 @@ def _peel_chain(d: Derivation, n: int | None = None) -> tuple[list[Derivation], 
     return chain, d
 
 
-def _wrap_chain(chain: list[Derivation], core: Derivation) -> Derivation:
-    for node in reversed(chain):
-        binder = node.term.binder
-        args = node.premises[1:]
-        if core.env_dict.get(binder, EMPTY) != mult_sum(*(demand(p.ty) for p in args)):
+def _below(t: Term, n: int) -> Term:
+    """t's subterm under the bodies of its first n substitutions."""
+    for _ in range(n):
+        t = t.body
+    return t
+
+
+def _wrap_chain(chain: list[Derivation], core: Derivation, t: Term) -> Derivation:
+    """core, a derivation of _below(t, len(chain)), under the substitution
+    nodes of chain carried onto t's."""
+    spine = [t]
+    for _ in chain[1:]:
+        spine.append(spine[-1].body)
+    for node, s in zip(reversed(chain), reversed(spine)):
+        args = tuple(_carry(p, s.arg) for p in node.premises[1:])
+        if core.env_dict.get(s.binder, EMPTY) != mult_sum(*(demand(p.ty) for p in args)):
             raise TransformError("substitution spine demand changed")
-        core = derive("es", Es(core.term, binder, node.term.arg), core.ty, (core,) + args)
+        core = derive("es", s, core.ty, (core,) + args)
     return core
 
 
-def _reduce_db(d: Derivation, system: str) -> Derivation:
+def _reduce_db(d: Derivation, t: Term, system: str) -> Derivation:
     if d.rule != "app":
         raise TransformError("dB expects an application node")
-    df, dargs = d.premises[0], d.premises[1:]
-    arg_term = dargs[0].term if dargs else d.term.arg
-    df = _freshen_deriv(df, free_vars(arg_term))
-    chain, core = _peel_chain(df)
+    chain, core = _peel_chain(d.premises[0])
     if core.rule != "abs":
         raise TransformError("dB expects an abstraction under the spine")
     if system == SYS_V and len(core.premises) != 1:
@@ -245,38 +183,32 @@ def _reduce_db(d: Derivation, system: str) -> Derivation:
     if not core.premises:
         raise TransformError("dB cannot fire on an untyped abstraction body")
     ds = core.premises[0]
-    new_core = derive("es", Es(ds.term, core.term.binder, arg_term), ds.ty, (ds,) + dargs)
-    out = _wrap_chain(chain, new_core)
+    es = _below(t, len(chain))
+    new_core = derive("es", es, ds.ty, (_carry(ds, es.body),) + d.premises[1:])
+    out = _wrap_chain(chain, new_core, t)
     _check_same_judgment(d, out)
     return out
 
 
-def _expand_db(d: Derivation, before_sub: Term, system: str) -> Derivation:
-    spine, _ = _peel_es_spine(before_sub.fun)
+def _expand_db(d: Derivation, t: Term, system: str) -> Derivation:
+    spine, lam = _peel_es_spine(t.fun)
     chain, des = _peel_chain(d, len(spine))
     if des.rule != "es":
         raise TransformError("contractum is not a substitution node")
-    ds, dargs = des.premises[0], des.premises[1:]
-    xa = des.term.binder
-    arrow = Arrow(ds.env_dict.get(xa, EMPTY), ds.ty)
-    abs_ty = Mult((arrow,)) if system == SYS_V else arrow
-    d_abs = derive("abs", Abs(xa, ds.term), abs_ty, (ds,))
-    arg_term = dargs[0].term if dargs else des.term.arg
-    clash = {c.term.binder for c in chain} & set(free_vars(arg_term))
-    if clash:
-        raise TransformError(f"argument uses spine binders {clash}")
-    d_fun = _wrap_chain(chain, d_abs)
-    out = derive("app", App(d_fun.term, arg_term), ds.ty, (d_fun,) + dargs)
+    ds = _carry(des.premises[0], lam.body)
+    arrow = Arrow(ds.env_dict.get(lam.binder, EMPTY), ds.ty)
+    d_abs = derive("abs", lam, Mult((arrow,)) if system == SYS_V else arrow, (ds,))
+    d_fun = _wrap_chain(chain, d_abs, t.fun)
+    out = derive("app", t, ds.ty, (d_fun,) + des.premises[1:])
     _check_same_judgment(d, out)
     return out
 
 
-def _reduce_sv(d: Derivation) -> Derivation:
+def _reduce_sv(d: Derivation, t: Term) -> Derivation:
     if d.rule != "es":
         raise TransformError("sv expects a substitution node")
     db, darg = d.premises
     x = d.term.binder
-    darg = _freshen_deriv(darg, free_vars(db.term) - {x})
     chain, dv = _peel_chain(darg)
     if dv.rule not in ("var", "abs"):
         raise TransformError("sv expects a value under the spine")
@@ -284,62 +216,51 @@ def _reduce_sv(d: Derivation) -> Derivation:
         raise TransformError("binder demand does not match the value's multiset")
     pool = [dv]
 
-    def split(need: Mult) -> Derivation:
-        taken, pool[0] = _split_value(pool[0], need)
-        return taken
+    def split(occurrence: Derivation, v: Term) -> Derivation:
+        taken, pool[0] = _split_value(pool[0], occurrence.ty)
+        return _carry(taken, v)
 
-    nd = _subst_deriv(db, x, dv.term, split)
+    nd = _carry(db, _below(t, len(chain)), x, split)
     if pool[0].ty != EMPTY:
         raise TransformError(f"value derivation not exhausted: {show_ty(pool[0].ty)} left")
-    out = _wrap_chain(chain, nd)
+    out = _wrap_chain(chain, nd, t)
     _check_same_judgment(d, out)
     return out
 
 
-def _expand_sv(d: Derivation, before_sub: Term) -> Derivation:
-    spine, v = _peel_es_spine(before_sub.arg)
-    x = before_sub.binder
+def _expand_sv(d: Derivation, t: Term) -> Derivation:
+    spine, v = _peel_es_spine(t.arg)
     chain, nd = _peel_chain(d, len(spine))
-    db, collected = _anti_subst(nd, before_sub.body, x, SYS_V)
-    if collected:
-        v_after = collected[0].term
-    else:
-        v_after = subst(v, {y: Var(c.term.binder) for (y, _), c in zip(spine, chain)})
-    dv = _merge_values_v(collected, v_after)
-    if db.env_dict.get(x, EMPTY) != dv.ty:
+    db, copies = _uncopy(nd, t.body, t.binder, SYS_V)
+    dv = _merge_value(copies, v)
+    if db.env_dict.get(t.binder, EMPTY) != dv.ty:
         raise TransformError("collected value demand is inconsistent")
-    darg = _wrap_chain(chain, dv)
-    out = derive("es", Es(db.term, x, darg.term), nd.ty, (db, darg))
+    out = derive("es", t, nd.ty, (db, _wrap_chain(chain, dv, t.arg)))
     _check_same_judgment(d, out)
     return out
 
 
-def _reduce_sn(d: Derivation) -> Derivation:
+def _reduce_sn(d: Derivation, t: Term) -> Derivation:
     if d.rule != "es":
         raise TransformError("sN expects a substitution node")
     pool = list(d.premises[1:])
 
-    def pop(want) -> Derivation:
+    def pop(occurrence: Derivation, u: Term) -> Derivation:
         for i, p in enumerate(pool):
-            if p.ty == want:
-                return pool.pop(i)
-        raise TransformError(f"no argument derivation of {show_ty(want)}")
+            if p.ty == occurrence.ty:
+                return _carry(pool.pop(i), u)
+        raise TransformError(f"no argument derivation of {show_ty(occurrence.ty)}")
 
-    out = _subst_deriv(d.premises[0], d.term.binder, d.term.arg, pop)
+    out = _carry(d.premises[0], t, d.term.binder, pop)
     if pool:
         raise TransformError("argument derivations left over")
     _check_same_judgment(d, out)
     return out
 
 
-def _expand_sn(d: Derivation, before_sub: Term) -> Derivation:
-    x = before_sub.binder
-    u = before_sub.arg
-    db, collected = _anti_subst(d, before_sub.body, x, SYS_N)
-    # the occurrences may type alpha-variants of u: the argument
-    # premises must type u itself
-    collected = tuple(_retarget(c, u) for c in collected)
-    out = derive("es", Es(db.term, x, u), d.ty, (db,) + collected)
+def _expand_sn(d: Derivation, t: Term) -> Derivation:
+    db, copies = _uncopy(d, t.body, t.binder, SYS_N)
+    out = derive("es", t, d.ty, (db,) + tuple(copies))
     _check_same_judgment(d, out)
     return out
 
@@ -355,18 +276,30 @@ _EDGE_PREMISE = {
 }
 
 
-def _walk(d: Derivation, pos: Position, system: str, transform) -> Derivation:
-    if not pos:
-        return transform(d)
-    edge = pos[0]
-    idx = _EDGE_PREMISE[system].get((d.rule, edge))
-    if idx is None or idx >= len(d.premises):
-        raise TransformError(
-            f"cannot navigate edge {edge!r} through a {d.rule} node in system {system}"
-        )
-    child = _walk(d.premises[idx], pos[1:], system, transform)
-    premises = d.premises[:idx] + (child,) + d.premises[idx + 1 :]
-    return derive(d.rule, replace_at(d.term, (edge,), child.term), d.ty, premises)
+def _walk(d: Derivation, src: Term, dst: Term, pos: Position, system: str,
+          local) -> Derivation:
+    """A derivation of dst from d, one of src, where src and dst are the
+    endpoints of a step at pos: local(node, sub) turns the derivation of
+    src's subterm at pos into one of dst's subterm sub, and the nodes
+    above it are rebuilt over dst's path.  The premises off the path
+    type subterms that both endpoints share."""
+    if d.term is not src:
+        d = _carry(d, src)
+    above: list[tuple[Derivation, int]] = []
+    for edge in pos:
+        idx = _EDGE_PREMISE[system].get((d.rule, edge))
+        if idx is None or idx >= len(d.premises):
+            raise TransformError(
+                f"cannot navigate edge {edge!r} through a {d.rule} node in system {system}"
+            )
+        above.append((d, idx))
+        d = d.premises[idx]
+    path = path_to(dst, pos)
+    out = local(d, path[-1])
+    for (node, idx), t in zip(reversed(above), reversed(path[:-1])):
+        out = derive(node.rule, t, node.ty,
+                     node.premises[:idx] + (out,) + node.premises[idx + 1:])
+    return out
 
 
 def reduce_derivation(d: Derivation, step: Step, system: str) -> Derivation:
@@ -374,42 +307,37 @@ def reduce_derivation(d: Derivation, step: Step, system: str) -> Derivation:
     if not alpha_eq(d.term, step.before):
         raise TransformError("derivation does not type the step's source")
 
-    def local(node: Derivation) -> Derivation:
+    def local(node: Derivation, t: Term) -> Derivation:
         match step.rule:
             case "dB":
-                return _reduce_db(node, system)
+                return _reduce_db(node, t, system)
             case "sv":
-                return _reduce_sv(node)
+                return _reduce_sv(node, t)
             case "sN":
-                return _reduce_sn(node)
+                return _reduce_sn(node, t)
             case r:
                 raise TransformError(f"unknown rule {r}")
 
-    return _walk(d, step.position, system, local)
+    return _walk(d, step.before, step.after, step.position, system, local)
 
 
 def expand_derivation(d: Derivation, step: Step, system: str) -> Derivation:
     """From a derivation of the step's target, one of its source."""
     if not alpha_eq(d.term, step.after):
         raise TransformError("derivation does not type the step's target")
-    # the step renamed the binders of its target out of the way of its
-    # source's free names: the transforms below rely on those names
-    if d.term != step.after:
-        d = _retarget(d, step.after)
-    before_sub = subterm_at(step.before, step.position)
 
-    def local(node: Derivation) -> Derivation:
+    def local(node: Derivation, t: Term) -> Derivation:
         match step.rule:
             case "dB":
-                return _expand_db(node, before_sub, system)
+                return _expand_db(node, t, system)
             case "sv":
-                return _expand_sv(node, before_sub)
+                return _expand_sv(node, t)
             case "sN":
-                return _expand_sn(node, before_sub)
+                return _expand_sn(node, t)
             case r:
                 raise TransformError(f"unknown rule {r}")
 
-    return _walk(d, step.position, system, local)
+    return _walk(d, step.after, step.before, step.position, system, local)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +364,7 @@ def typable(t: Term, calculus: str, fuel: int | None = None):
     system = SYSTEM_OF[calculus]
     for step in reversed(trace.steps):
         d = expand_derivation(d, step, system)
-    # the steps chose the binder names of the terms they passed through
-    return "typable", d if d.term == t else _retarget(d, t)
+    return "typable", d
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +376,8 @@ def typed_genericity(d: Derivation, ctx: Term, u: Term, system: str) -> Derivati
     judgment, without ever typing what sits in the hole.
 
     Raises GenericityContradiction if the derivation does reach the
-    hole, i.e. if the plugged subterm is itself typed somewhere.
+    hole, i.e. if the plugged subterm is itself typed somewhere: the
+    derivation is carried onto the context first, where a hole stops
+    it, then onto C<u>.
     """
-
-    def hole_edge(c: Term) -> str:
-        return hole_positions(c)[0][0]
-
-    def go(d: Derivation, c: Term) -> Derivation:
-        if isinstance(c, Hole):
-            raise GenericityContradiction(
-                "the derivation types the plugged subterm itself"
-            )
-        match c:
-            case Abs(_, cb):
-                if d.rule != "abs":
-                    raise TransformError("derivation out of step with the context")
-                ps = tuple(go(p, cb) for p in d.premises)
-            case App(cf, ca) | Es(cf, _, ca):
-                if d.rule != ("app" if isinstance(c, App) else "es"):
-                    raise TransformError("derivation out of step with the context")
-                if hole_edge(c) in ("l", "s"):
-                    ps = (go(d.premises[0], cf),) + d.premises[1:]
-                else:
-                    ps = (d.premises[0],) + tuple(go(p, ca) for p in d.premises[1:])
-            case _:
-                raise TransformError("a context is built from abs, app and es")
-        return derive(d.rule, plug(c, u), d.ty, ps)
-
-    return go(d, ctx)
+    return _carry(_carry(d, ctx), plug(ctx, u))

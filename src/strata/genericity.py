@@ -125,14 +125,6 @@ def stratified_genericity_check(
     return report
 
 
-def surface_genericity_check(
-    t: Term, ctx: Term, u: Term, calculus: str,
-    oracle: Oracle | None = None, fuel: int | None = None,
-) -> GenericityReport:
-    """Genericity at the surface: observation level 0."""
-    return stratified_genericity_check(t, ctx, u, calculus, 0.0, oracle, fuel)
-
-
 # ---------------------------------------------------------------------------
 # Randomized campaigns for the four structural assumptions the pipeline
 # rests on

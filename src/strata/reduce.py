@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .summary import (
     ABS, CORE, NO_REDEX, OTHER, fingerprint, min_level_field, summarize, summary,
@@ -48,7 +47,6 @@ from .terms import (
     level_of,
     parse,
     path_to,
-    replace_at,
     show,
     show_level,
     subst,
@@ -60,7 +58,6 @@ from .terms import (
 DB = "dB"
 SV = "sv"
 SN = "sN"
-BETA_V = "betav"
 
 DEFAULT_FUEL = 10_000
 
@@ -281,17 +278,18 @@ class Trace:
         return self.steps[-1].after if self.steps else self.start
 
 
-def _run(
-    t: Term, calculus: str, level: Level, fuel: int | None,
-    find: Callable[[Term], Redex | None],
-    contract: Callable[[Term, Redex], Step],
-) -> Trace:
-    """The normalization loop: contract the redex find picks until
-    there is none (normal), a term repeats up to alpha (cycle), or fuel
-    steps are taken and a redex is left (fuel).
+def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
+    """Reduce with the leftmost-outermost strategy until a normal form,
+    a repeated term (up to alpha), or fuel exhaustion.
+
+    At most fuel steps are taken; a term that is normal when the fuel
+    runs out, fuel 0 included, reports "normal".  Negative fuel is a
+    ValueError.
 
     Only terms with equal fingerprints are compared, by their canonical
-    keys, so the first repeat found is the one canonical keys find."""
+    keys, so the first repeat found is the one canonical keys find.
+    leftmost_redex and apply_step are looked up at each call, so a
+    caller may patch them to observe every step."""
     if fuel is None:
         fuel = default_fuel()
     if fuel < 0:
@@ -307,12 +305,12 @@ def _run(
 
     cur = t
     while True:
-        redex = find(cur)
+        redex = leftmost_redex(cur, calculus, level)
         if redex is None:
             return Trace(t, calculus, level, tuple(steps), "normal")
         if len(steps) == fuel:
             return Trace(t, calculus, level, tuple(steps), "fuel")
-        step = contract(cur, redex)
+        step = apply_step(cur, redex, calculus)
         steps.append(step)
         cur = step.after
         n = len(steps)
@@ -321,49 +319,6 @@ def _run(
             if key(i) == key(n):
                 return Trace(t, calculus, level, tuple(steps), "cycle", i)
         same_shape.append(n)
-
-
-def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
-    """Reduce with the leftmost-outermost strategy until a normal form,
-    a repeated term (up to alpha), or fuel exhaustion.
-
-    At most fuel steps are taken; a term that is normal when the fuel
-    runs out, fuel 0 included, reports "normal".  Negative fuel is a
-    ValueError."""
-    return _run(t, calculus, level, fuel,
-                lambda cur: leftmost_redex(cur, calculus, level),
-                lambda cur, redex: apply_step(cur, redex, calculus))
-
-
-# ---------------------------------------------------------------------------
-# The pure call-by-value fragment (no explicit substitutions): plain
-# beta on value arguments, never under a binder.
-
-
-def plotkin_redexes(t: Term) -> list[Redex]:
-    out = []
-    for pos, s in subterms(t):
-        if "b" in pos:
-            continue
-        match s:
-            case App(Abs(_, _), a) if is_value(a):
-                out.append(Redex(pos, BETA_V, 0.0))
-            case _:
-                pass
-    return out
-
-
-def _plotkin_contract(t: Term, redex: Redex) -> Step:
-    sub = subterm_at(t, redex.position)
-    assert isinstance(sub, App) and isinstance(sub.fun, Abs)
-    after = replace_at(t, redex.position, subst(sub.fun.body, {sub.fun.binder: sub.arg}))
-    return Step(t, after, redex.position, BETA_V, 0.0)
-
-
-def plotkin_normalize(t: Term, fuel: int | None = None) -> Trace:
-    return _run(t, CBV, 0.0, fuel,
-                lambda cur: next(iter(plotkin_redexes(cur)), None),
-                _plotkin_contract)
 
 
 # ---------------------------------------------------------------------------

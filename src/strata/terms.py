@@ -89,19 +89,6 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def is_pure(t: Term) -> bool:
-    """True when t contains no explicit substitution and no bot."""
-    match t:
-        case Var():
-            return True
-        case Abs(_, b):
-            return is_pure(b)
-        case App(f, a):
-            return is_pure(f) and is_pure(a)
-        case _:
-            return False
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """The free names of t, cached on each compound node.
 
@@ -242,16 +229,6 @@ def _deep_edges(calculus: str) -> tuple[str, ...]:
     if deep is None:
         raise ValueError(f"unknown calculus {calculus!r}")
     return deep
-
-
-def size(t: Term) -> int:
-    match t:
-        case Abs(_, b):
-            return 1 + size(b)
-        case App(f, a) | Es(f, _, a):
-            return 1 + size(f) + size(a)
-        case _:
-            return 1
 
 
 # ---------------------------------------------------------------------------

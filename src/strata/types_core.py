@@ -271,10 +271,20 @@ def deriv_to_dict(d: Derivation) -> dict:
     }
 
 
-def deriv_from_dict(obj: dict) -> Derivation:
+def deriv_from_dict(obj) -> Derivation:
+    """The derivation a deriv_to_dict object describes.  Raises
+    TyParseError on any object of another shape."""
+    if not isinstance(obj, dict):
+        raise TyParseError(f"a derivation node is an object, not {type(obj).__name__}")
+    for key in ("rule", "term", "type"):
+        if not isinstance(obj.get(key), str):
+            raise TyParseError(f"a derivation node needs a string {key!r}")
+    entries, premises = obj.get("env", {}), obj.get("premises", [])
+    if not isinstance(entries, dict) or not isinstance(premises, list):
+        raise TyParseError("'env' must be an object and 'premises' a list")
     env = {}
-    for k, v in obj.get("env", {}).items():
-        m = parse_ty(v)
+    for k, v in entries.items():
+        m = parse_ty(v) if isinstance(v, str) else None
         if not isinstance(m, Mult):
             raise TyParseError(f"environment entry for {k} must be a multiset")
         env[k] = m
@@ -283,5 +293,5 @@ def deriv_from_dict(obj: dict) -> Derivation:
         env,
         parse(obj["term"]),
         parse_ty(obj["type"]),
-        tuple(deriv_from_dict(p) for p in obj.get("premises", [])),
+        tuple(deriv_from_dict(p) for p in premises),
     )

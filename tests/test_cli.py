@@ -228,6 +228,19 @@ class TestTypes:
         code, out, _ = run(capsys, "type-check", str(f))
         assert code == 1 and out.strip() != "valid"
 
+    @pytest.mark.parametrize("blob", [
+        {},  # no rule, term or type
+        [],  # not an object
+        {"rule": "var", "env": {}, "term": "x", "type": "[]", "premises": [5]},
+        {"rule": "var", "env": {}, "term": "x", "type": "[]", "premises": {}},
+        {"rule": "var", "env": {"x": 5}, "term": "x", "type": "[]"},
+    ])
+    def test_malformed_derivation_file_exits_3(self, capsys, tmp_path, blob):
+        f = tmp_path / "deriv.json"
+        f.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "type-check", str(f))
+        assert code == 3 and out == "" and err.startswith("error:")
+
 
 class TestGenericityAndJudge:
     def test_genericity_ok_over_default_probes(self, capsys):

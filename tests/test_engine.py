@@ -35,7 +35,6 @@ from strata.reduce import (
     apply_step,
     leftmost_redex,
     min_redex_level,
-    plotkin_normalize,
     redex_at,
     trace_to_dict,
 )
@@ -242,14 +241,6 @@ class TestFuel:
     def test_negative_fuel_is_an_error(self):
         with pytest.raises(ValueError):
             normalize(parse("x"), CBV, 0.0, -1)
-        with pytest.raises(ValueError):
-            plotkin_normalize(parse("x"), -1)
-
-    def test_plotkin_shares_the_fuel_rule(self):
-        t = parse(rf"({ID}) ({ID})")
-        assert plotkin_normalize(t, 1).outcome == "normal"
-        assert plotkin_normalize(t, 0).outcome == "fuel"
-        assert plotkin_normalize(parse(OMEGA_LOOP), 5).outcome == "cycle"
 
     def test_cli_rejects_negative_fuel(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,6 @@ from strata import (
     reproduce_violation,
     show,
     stratified_genericity_check,
-    surface_genericity_check,
 )
 from strata.reduce import step_to_dict
 
@@ -39,37 +38,37 @@ class TestPipeline:
     @pytest.mark.parametrize("ctx_text", [rf"(\y.{ID}) @", rf"\x.x ({ID}) @"])
     def test_by_name_erasing_and_frozen_contexts(self, cbn_oracle, ctx_text):
         for probe in PROBES:
-            r = surface_genericity_check(
-                p(OMEGA_LOOP), parse_context(ctx_text), p(probe), CBN,
+            r = stratified_genericity_check(
+                p(OMEGA_LOOP), parse_context(ctx_text), p(probe), CBN, 0.0,
                 cbn_oracle)
             assert r.status == "ok", r.detail
 
     def test_unguarded_by_value_context_is_vacuous(self, cbv_oracle):
         # by value the diverging argument must be evaluated, so the
         # plugged term has no normal form and the claim holds vacuously
-        r = surface_genericity_check(
-            p(OMEGA_LOOP), parse_context(rf"(\y.{ID}) @"), p("x"), CBV,
+        r = stratified_genericity_check(
+            p(OMEGA_LOOP), parse_context(rf"(\y.{ID}) @"), p("x"), CBV, 0.0,
             cbv_oracle)
         assert r.status == "vacuous"
 
     def test_meaningful_seed_is_rejected(self, cbv_oracle):
-        r = surface_genericity_check(
-            p(ID), parse_context(rf"(\y.{ID}) (\z.@)"), p("x"), CBV,
+        r = stratified_genericity_check(
+            p(ID), parse_context(rf"(\y.{ID}) (\z.@)"), p("x"), CBV, 0.0,
             cbv_oracle)
         assert r.status == "violated"
         assert "meaningful" in r.detail
 
     def test_undecidable_seed_is_unknown(self):
         oracle = Oracle(CBV, 40)
-        r = surface_genericity_check(
+        r = stratified_genericity_check(
             p(r"(\x.x x x) (\x.x x x)"), parse_context(rf"(\y.{ID}) (\z.@)"),
-            p("x"), CBV, oracle)
+            p("x"), CBV, 0.0, oracle)
         assert r.status == "unknown"
 
     def test_report_carries_the_partial_reduction(self, cbv_oracle):
         ctx = parse_context(rf"(\y.{ID}) (\z.@)")
-        r = surface_genericity_check(p(OMEGA_LOOP), ctx, p("x"), CBV,
-                                     cbv_oracle)
+        r = stratified_genericity_check(p(OMEGA_LOOP), ctx, p("x"), CBV,
+                                        0.0, cbv_oracle)
         assert r.approximant is not None
         assert r.partial_steps and alpha_eq(r.partial_end, p(ID))
         assert alpha_eq(r.lifted_u_end, p(ID))

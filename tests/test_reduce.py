@@ -1,6 +1,5 @@
 """Rewrite engine: the two rule families, action at a distance,
-level gating, strategy order, cycle detection, and the weak
-pure-value calculus."""
+level gating, strategy order and cycle detection."""
 
 import pytest
 
@@ -17,14 +16,11 @@ from strata import (
     reduce_once,
 )
 from strata.reduce import (
-    BETA_V,
     DB,
     SN,
     SV,
     Redex,
     min_redex_level,
-    plotkin_normalize,
-    plotkin_redexes,
     step_from_dict,
     step_to_dict,
     trace_to_dict,
@@ -143,23 +139,6 @@ class TestStrategy:
         assert normalize(t, CBV, 0.0).outcome == "normal"
         assert len(normalize(t, CBV, 0.0).steps) == 0
         assert len(normalize(t, CBV, 1.0).steps) == 2
-
-
-class TestWeakPureValueCalculus:
-    def test_beta_needs_a_value_argument(self):
-        assert plotkin_redexes(parse(rf"({ID}) (y y)")) == []
-        assert [r.rule for r in plotkin_redexes(parse(rf"({ID}) ({ID})"))] == [BETA_V]
-
-    def test_weak_never_reduces_under_a_binder(self):
-        assert plotkin_redexes(parse(rf"\x.({ID}) ({ID})")) == []
-
-    def test_substitution_is_meta_level(self):
-        tr = plotkin_normalize(parse(rf"({ID}) ({ID})"))
-        assert tr.outcome == "normal" and alpha_eq(tr.final, parse(ID))
-        assert len(tr.steps) == 1
-
-    def test_loop_detected(self):
-        assert plotkin_normalize(parse(OMEGA_LOOP)).outcome == "cycle"
 
 
 class TestSerialization:

@@ -32,12 +32,10 @@ from strata.terms import (
     freshen,
     hole_positions,
     is_context,
-    is_pure,
     is_value,
     level_of,
     parse_level,
     replace_at,
-    size,
     subterm_at,
     subterms,
 )
@@ -412,17 +410,10 @@ class TestStructure:
         positions = [pos for pos, _ in subterms(t)]
         assert positions == [(), ("l",), ("l", "b"), ("r",), ("r", "l"), ("r", "r")]
 
-    def test_size_counts_nodes(self):
-        assert size(parse(r"(\x.x) y")) == 4
-
     def test_values_are_variables_and_abstractions(self):
         assert is_value(Var("x")) and is_value(parse(r"\x.bot"))
         assert not is_value(parse("x y")) and not is_value(BOT)
         assert not is_value(parse(r"(x)[x\y]"))
-
-    def test_purity_excludes_closures_and_bottom(self):
-        assert is_pure(parse(r"\x.x y"))
-        assert not is_pure(parse(r"(x)[x\y]")) and not is_pure(BOT)
 
 
 class TestFreeNames:

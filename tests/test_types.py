@@ -2,6 +2,7 @@
 surface normal forms, replay across reduction steps, and the
 derivation-level genericity transformer."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from strata import (
     App,
     CBN,
     CBV,
+    DEFAULT_PROBES,
+    Es,
     Var,
     alpha_eq,
     check_derivation,
@@ -19,12 +22,13 @@ from strata import (
     parse_context,
     parse_ty,
     plug,
+    show,
     show_ty,
     synth_nf_derivation,
     typable,
     typed_genericity,
 )
-from strata.corpus import enumerate_terms
+from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.deriv_transform import (
     GenericityContradiction,
     expand_derivation,
@@ -34,6 +38,7 @@ from strata.typecheck import SYS_N, SYS_V
 from strata.types_core import (
     EMPTY,
     Arrow,
+    Derivation,
     Mult,
     TyVar,
     deriv_from_dict,
@@ -139,20 +144,41 @@ class TestTypability:
         assert status == "unknown" and d is None
 
 
+REPLAY_TEXTS = [
+    rf"({ID}) ({ID})",
+    rf"({ID}) x y",
+    rf"(\x.\y.y x) z ({ID})",
+    rf"(x ({ID}))[x\{ID}]",
+    # binders that the steps must rename: a spine binder the moved
+    # argument names, an abstraction that captures the substituted
+    # term, and a step target whose fresh names the source reuses
+    r"((\x.x)[y\z]) y",
+    r"((\y.x)[x\y]) z",
+    r"(\x.x1[y1\(\x1.x0) x1])[x0\x0] x0",
+    # renamed spines whose value and argument bind or use the clashing
+    # name, so the two endpoints hold different copies of them
+    r"(x y)[x\(\a.y)[y\\y.y]]",
+    r"((\x.x)[y\\y.y]) y",
+    # the substituted name bound again below its substitution, under an
+    # abstraction and under a substitution
+    r"((\x.x) x)[x\y]",
+    r"(x[x\x])[x\y]",
+]
+
+
+def unshared(d):
+    """d with every node below the root over its own copy of its term,
+    equal to the root's subterm but not the same node."""
+    def copy(d):
+        return Derivation(d.rule, d.env, parse(show(d.term, rename=False)), d.ty,
+                          tuple(copy(p) for p in d.premises))
+
+    return Derivation(d.rule, d.env, d.term, d.ty, tuple(copy(p) for p in d.premises))
+
+
 class TestReplay:
     @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
-    @pytest.mark.parametrize("text", [
-        rf"({ID}) ({ID})",
-        rf"({ID}) x y",
-        rf"(\x.\y.y x) z ({ID})",
-        rf"(x ({ID}))[x\{ID}]",
-        # binders that the steps must rename: a spine binder the moved
-        # argument names, an abstraction that captures the substituted
-        # term, and a step target whose fresh names the source reuses
-        r"((\x.x)[y\z]) y",
-        r"((\y.x)[x\y]) z",
-        r"(\x.x1[y1\(\x1.x0) x1])[x0\x0] x0",
-    ])
+    @pytest.mark.parametrize("text", REPLAY_TEXTS)
     def test_expansion_then_reduction_round_trip(self, text, calculus, system):
         t = parse(text)
         trace = normalize(t, calculus, 0.0)
@@ -162,26 +188,72 @@ class TestReplay:
         for step in reversed(trace.steps):
             d = expand_derivation(d, step, system)
             assert check_derivation(d, system) == []
-        assert alpha_eq(d.term, t)
+            assert d.term is step.before
         top = (d.env, d.ty)
         # and forwards again, preserving the judgment
         for step in trace.steps:
             d = reduce_derivation(d, step, system)
             assert check_derivation(d, system) == []
+            assert d.term is step.after
         assert (d.env, d.ty) == top
-        assert alpha_eq(d.term, trace.final)
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    @pytest.mark.parametrize("text", REPLAY_TEXTS)
+    def test_a_derivation_sharing_no_node_with_the_step(self, text, calculus, system):
+        """Only the root of the derivation is the step's own node; the
+        walker tells bound names apart by scope, not by node identity."""
+        t = parse(text)
+        status, d = typable(t, calculus)
+        assert status == "typable"
+        top = (d.env, d.ty)
+        trace = normalize(t, calculus, 0.0)
+        for step in trace.steps:
+            d = reduce_derivation(unshared(d), step, system)
+            assert check_derivation(d, system) == [] and (d.env, d.ty) == top
+        for step in reversed(trace.steps):
+            d = expand_derivation(unshared(d), step, system)
+            assert check_derivation(d, system) == [] and (d.env, d.ty) == top
+        assert d == typable(t, calculus)[1]
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_one_node_as_body_and_argument(self, calculus, system):
+        """x[x\\x] built from one node: its occurrence as the body is
+        still an occurrence of the substituted name."""
+        x = Var("x")
+        t = Es(x, "x", x)
+        status, d = typable(t, calculus)
+        assert status == "typable" and d.term is t
+        assert check_derivation(d, system) == []
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_a_derivation_of_an_alpha_variant_is_carried_first(self, calculus, system):
+        """A derivation of another alpha-variant of the step's endpoint
+        replays onto the step's own terms."""
+        t = parse(r"(\x.\y.y x) z (\i.i)")
+        variant = parse(r"(\a.\b.b a) z (\j.j)")
+        _, d = typable(variant, calculus)
+        trace = normalize(t, calculus, 0.0)
+        d = reduce_derivation(d, trace.steps[0], system)
+        assert d.term is trace.steps[0].after
+        assert check_derivation(d, system) == []
+        _, d = typable(variant, calculus)
+        d = reduce_derivation(deriv_from_dict(json.loads(json.dumps(deriv_to_dict(d)))),
+                              trace.steps[0], system)
+        back = expand_derivation(d, trace.steps[0], system)
+        assert back.term is t and back == typable(t, calculus)[1]
 
 
 class TestExhaustiveReplay:
     """Every term up to size 6: typable's derivation, carried along the
-    surface trace and back, stays valid with the same judgment."""
+    surface trace and back, stays valid with the same judgment, and
+    each derivation types the step's own endpoint, not an alpha-variant."""
 
     @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
     def test_every_small_term(self, calculus, system):
         for t in enumerate_terms(6):
             status, d = typable(t, calculus)
             # every term up to size 7 is typable in both calculi
-            assert status == "typable" and d.term == t
+            assert status == "typable" and d.term is t
             assert typable(t, calculus) == (status, d)
             assert check_derivation(d, system) == []
             top = (d.env, d.ty)
@@ -190,12 +262,25 @@ class TestExhaustiveReplay:
             for step in trace.steps:
                 d = reduce_derivation(d, step, system)
                 assert check_derivation(d, system) == []
-                assert (d.env, d.ty) == top and alpha_eq(d.term, step.after)
+                assert (d.env, d.ty) == top and d.term is step.after
                 forward.append(d)
             for step, before in zip(reversed(trace.steps), reversed(forward[:-1])):
                 d = expand_derivation(d, step, system)
                 assert check_derivation(d, system) == []
-                assert (d.env, d.ty) == top and alpha_eq(d.term, before.term)
+                assert (d.env, d.ty) == top and d.term is step.before
+                assert d == before
+
+    def test_derivations_are_pinned(self):
+        """typable's derivations of every term up to size 5, by value
+        then by name, as deriv_to_dict writes them."""
+        blobs = [json.dumps(deriv_to_dict(typable(t, c)[1]), sort_keys=True)
+                 for c in (CBV, CBN) for t in enumerate_terms(5)]
+        assert len(blobs) == 684
+        digest = hashlib.sha256("\n".join(blobs).encode()).hexdigest()
+        assert digest == DERIVATIONS_PIN
+
+
+DERIVATIONS_PIN = "cb414691c62892681817922f0f3906dc7f147cdc504e9de40d8e5695c7fc9092"
 
 
 class TestSerialization:
@@ -222,3 +307,22 @@ class TestTypedGenericity:
         d = synth_nf_derivation(parse(r"\x.x"), CBV)
         with pytest.raises(GenericityContradiction):
             typed_genericity(d, parse_context("@"), parse("y"), SYS_V)
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_every_small_context_around_omega(self, calculus, system):
+        """For every context C up to size 6 with C<Omega> typable, the
+        derivation is carried onto C<probe> for every default probe."""
+        omega = parse(OMEGA_LOOP)
+        probes = [parse(q) for q in DEFAULT_PROBES]
+        typed = 0
+        for ctx in enumerate_contexts(6):
+            status, d = typable(plug(ctx, omega), calculus)
+            if status != "typable":
+                continue
+            typed += 1
+            for u in probes:
+                d2 = typed_genericity(d, ctx, u, system)
+                assert check_derivation(d2, system) == []
+                assert (d2.env, d2.ty) == (d.env, d.ty)
+                assert alpha_eq(d2.term, plug(ctx, u))
+        assert typed == {CBV: 716, CBN: 826}[calculus]
