@@ -36,36 +36,30 @@ from .terms import (
     Term,
     alpha_eq,
     bot_positions,
-    canonical,
     level_of,
     parse,
     partial_leq,
 )
 from .reduce import Step, Trace, apply_step, normalize, redex_at
+from .summary import AlphaTable
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
 UNKNOWN = "unknown"
+_STATUS = {"normal": MEANINGFUL, "cycle": MEANINGLESS}  # by trace outcome
 
 
 class Annotations:
     """User-supplied meaninglessness assertions, matched up to alpha."""
 
     def __init__(self, terms: list[Term] | None = None):
-        self.keys = frozenset(canonical(t) for t in (terms or []))
+        self.terms = tuple(terms or ())
 
     @classmethod
     def load(cls, path: str) -> "Annotations":
-        terms = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    terms.append(parse(line))
-        return cls(terms)
-
-    def asserts_meaningless(self, t: Term) -> bool:
-        return canonical(t) in self.keys
+            lines = [line.strip() for line in fh]
+        return cls([parse(line) for line in lines if line and not line.startswith("#")])
 
 
 @dataclass(frozen=True)
@@ -78,37 +72,29 @@ class MeaningReport:
 
 
 class Oracle:
-    """Memoizing meaningfulness oracle for one calculus."""
+    """Memoizing meaningfulness oracle for one calculus.  Its memo maps
+    terms up to alpha and starts with the asserted terms."""
 
     def __init__(self, calculus: str, fuel: int | None = None,
                  annotations: Annotations | None = None):
         self.calculus = calculus
         self.fuel = fuel
         self.annotations = annotations or Annotations()
-        self._memo: dict[tuple, MeaningReport] = {}
+        asserted = MeaningReport(MEANINGLESS, None, asserted=True)
+        self._memo = AlphaTable((t, asserted) for t in self.annotations.terms)
         # the last approximant computed: for every node met on the way,
         # by id(node), the node itself (so that its id stays taken) and
         # its approximant
         self._approximants: dict[int, tuple[Term, Term]] = {}
 
     def meaning(self, t: Term) -> MeaningReport:
-        key = canonical(t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        asserted = self.annotations.keys
-        if asserted and key in asserted:
-            report = MeaningReport(MEANINGLESS, None, asserted=True)
-        else:
-            trace = normalize(t, self.calculus, 0.0, self.fuel)
-            match trace.outcome:
-                case "normal":
-                    report = MeaningReport(MEANINGFUL, trace)
-                case "cycle":
-                    report = MeaningReport(MEANINGLESS, trace)
-                case _:
-                    report = MeaningReport(UNKNOWN)
-        self._memo[key] = report
+        report = self._memo.get(t)
+        if report is not None:
+            return report
+        trace = normalize(t, self.calculus, 0.0, self.fuel)
+        status = _STATUS.get(trace.outcome, UNKNOWN)
+        report = MeaningReport(status, None if status == UNKNOWN else trace)
+        self._memo.add(t, report)
         return report
 
     def status(self, t: Term) -> str:

@@ -371,7 +371,7 @@ def typable(t: Term, calculus: str, fuel: int | None = None):
 # Typed genericity
 
 
-def typed_genericity(d: Derivation, ctx: Term, u: Term, system: str) -> Derivation:
+def typed_genericity(d: Derivation, ctx: Term, u: Term) -> Derivation:
     """Turn a derivation of C<t> into one of C<u> with the same final
     judgment, without ever typing what sits in the hole.
 

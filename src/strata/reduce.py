@@ -23,12 +23,11 @@ size of the term.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 
 from .summary import (
-    ABS, CORE, NO_REDEX, OTHER, fingerprint, min_level_field, summarize, summary,
+    ABS, CORE, NO_REDEX, OTHER, AlphaTable, min_level_field, summarize, summary,
 )
 from .terms import (
     CBN,
@@ -40,7 +39,6 @@ from .terms import (
     OMEGA,
     Position,
     Term,
-    canonical,
     free_vars,
     freshen,
     is_value,
@@ -60,11 +58,6 @@ SV = "sv"
 SN = "sN"
 
 DEFAULT_FUEL = 10_000
-
-
-def default_fuel() -> int:
-    env = os.environ.get("STRATA_FUEL")
-    return int(env) if env else DEFAULT_FUEL
 
 
 @dataclass(frozen=True)
@@ -262,8 +255,8 @@ class Trace:
     """Outcome of a bounded normalization run.
 
     outcome is one of "normal", "cycle", "fuel"; for a cycle,
-    cycle_start is the index of the first occurrence of the repeated
-    term in the sequence start, steps[0].after, steps[1].after, ...
+    cycle_start is the index in terms of the first occurrence of the
+    repeated term.
     """
 
     start: Term
@@ -277,6 +270,10 @@ class Trace:
     def final(self) -> Term:
         return self.steps[-1].after if self.steps else self.start
 
+    @property
+    def terms(self) -> tuple[Term, ...]:  # start, steps[0].after, ...
+        return (self.start, *(s.after for s in self.steps))
+
 
 def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
     """Reduce with the leftmost-outermost strategy until a normal form,
@@ -286,23 +283,16 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> 
     runs out, fuel 0 included, reports "normal".  Negative fuel is a
     ValueError.
 
-    Only terms with equal fingerprints are compared, by their canonical
-    keys, so the first repeat found is the one canonical keys find.
+    The terms met so far are kept in an AlphaTable, so the first repeat
+    found is the first term alpha-equal to an earlier one.
     leftmost_redex and apply_step are looked up at each call, so a
     caller may patch them to observe every step."""
     if fuel is None:
-        fuel = default_fuel()
+        fuel = DEFAULT_FUEL
     if fuel < 0:
         raise ValueError(f"fuel must be a natural number, got {fuel}")
     steps: list[Step] = []
-    by_fingerprint = {fingerprint(t): [0]}
-    keys: dict[int, tuple] = {}  # canonical keys of the compared terms
-
-    def key(i: int) -> tuple:
-        if i not in keys:
-            keys[i] = canonical(steps[i - 1].after if i else t)
-        return keys[i]
-
+    seen = AlphaTable([(t, 0)])  # each term met, with its index
     cur = t
     while True:
         redex = leftmost_redex(cur, calculus, level)
@@ -313,12 +303,10 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> 
         step = apply_step(cur, redex, calculus)
         steps.append(step)
         cur = step.after
-        n = len(steps)
-        same_shape = by_fingerprint.setdefault(fingerprint(cur), [])
-        for i in same_shape:
-            if key(i) == key(n):
-                return Trace(t, calculus, level, tuple(steps), "cycle", i)
-        same_shape.append(n)
+        i = seen.get(cur)
+        if i is not None:
+            return Trace(t, calculus, level, tuple(steps), "cycle", i)
+        seen.add(cur, len(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ least over its children of the edge's cost plus the child's value.
 
 from __future__ import annotations
 
-from .terms import CBN, CBV, Abs, App, Bot, Es, Level, Node, Term, Var
+from .terms import CBN, CBV, Abs, App, Bot, Es, Level, Node, Term, Var, alpha_eq, free_vars
 
 FINGERPRINT, CORE, CBV_MIN, CBN_MIN = range(4)
 
@@ -35,8 +35,8 @@ _store = Node._summary.__set__  # writes the reserved slot of a frozen node
 # The fingerprint's tags are small integers, whose hashes do not vary
 # from run to run as those of strings do.  Fingerprints and levels are
 # kept below 2**30, where an int takes the least memory (and levels
-# below 257 are shared objects); a fingerprint only filters the
-# comparisons of canonical keys, so its width only costs collisions.
+# below 257 are shared objects); a fingerprint only files the entries
+# of an AlphaTable, so its width only costs collisions.
 _MASK = (1 << 30) - 1
 _VAR = (hash((0,)) & _MASK, VAR, NO_REDEX, NO_REDEX)
 _BOT = (hash((4,)) & _MASK, OTHER, NO_REDEX, NO_REDEX)
@@ -118,6 +118,32 @@ def summarize(node: Term) -> tuple:
 def fingerprint(t: Term) -> int:
     """A name-free structural hash: equal for alpha-equal terms."""
     return summary(t)[FINGERPRINT]
+
+
+class AlphaTable:
+    """A map from terms up to alpha, built from (term, value) entries.
+
+    Entries are filed by fingerprint.  Within a row a term is compared
+    first by its free names (cached sets), then by alpha_eq; a lookup
+    in an empty row costs one fingerprint read."""
+
+    def __init__(self, entries=()):
+        self._rows: dict[int, list[tuple[Term, object]]] = {}
+        for t, value in entries:
+            self.add(t, value)
+
+    def get(self, t: Term):
+        """The value of the first entry alpha-equal to t, or None."""
+        row = self._rows.get(fingerprint(t))
+        if row:
+            names = free_vars(t)
+            for u, value in row:
+                if free_vars(u) == names and alpha_eq(u, t):
+                    return value
+        return None
+
+    def add(self, t: Term, value) -> None:
+        self._rows.setdefault(fingerprint(t), []).append((t, value))
 
 
 def min_level_field(calculus: str) -> int:

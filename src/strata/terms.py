@@ -320,8 +320,9 @@ def freshen(t: Term, clash: frozenset[str] | set[str]) -> Term:
 def canonical(t: Term) -> tuple:
     """Nameless canonical form: equal iff the terms are alpha-equal.
 
-    Hashable, so it doubles as a key for cycle detection and memo
-    tables.
+    The program decides alpha-equality with alpha_eq and
+    strata.summary.AlphaTable; these keys are an independent reference
+    to check them against.
     """
 
     def go(t: Term, env: tuple[str, ...]) -> tuple:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import OMEGA, Term, alpha_eq, canonical, hole_positions, plug, replace_at
+from .terms import OMEGA, Term, alpha_eq, hole_positions, plug, replace_at
 from .reduce import Trace, normalize
 from .approx import MEANINGFUL, MEANINGLESS, Oracle
 from .corpus import enumerate_contexts
+from .summary import AlphaTable
 
 LAMBDA = "conversion"
 H = "mute"
@@ -63,15 +64,9 @@ class Judgment:
 
 
 def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
-    seen = {canonical(tr_t.start): tr_t.start}
-    for s in tr_t.steps:
-        seen.setdefault(canonical(s.after), s.after)
-    if canonical(tr_u.start) in seen:
-        return tr_u.start
-    for s in tr_u.steps:
-        if canonical(s.after) in seen:
-            return s.after
-    return None
+    """The first term of tr_u alpha-equal to a term of tr_t, if any."""
+    seen = AlphaTable((r, True) for r in tr_t.terms)
+    return next((r for r in tr_u.terms if seen.get(r)), None)
 
 
 def falsify_observational(

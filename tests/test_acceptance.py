@@ -147,7 +147,7 @@ def test_criterion_06_typed_replacement_under_an_untyped_argument():
 
     ctx = Abs("x", App(Var("y"), Abs("z", parse_context("@"))))
     for probe in ("y", ID, "x x"):
-        d2 = typed_genericity(d, ctx, p(probe), SYS_V)
+        d2 = typed_genericity(d, ctx, p(probe))
         assert check_derivation(d2, SYS_V) == []
         assert d2.env == d.env and d2.ty == d.ty
 

@@ -1,13 +1,19 @@
 """Meaningfulness oracle, approximants, and the step
 approximation/lifting machinery."""
 
+import sys
+
 import pytest
 
 import strata.approx
+import strata.summary
+import strata.terms
 from strata import (
     BOT,
     CBN,
     CBV,
+    HOLE,
+    LAMBDA,
     Annotations,
     Collapsed,
     Mapped,
@@ -26,9 +32,14 @@ from strata import (
     partial_leq,
     plug,
     reduce_once,
+    reverify,
+    judge,
+    stratified_genericity_check,
 )
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts
+from strata.genericity import OK
+from strata.summary import FINGERPRINT, AlphaTable, summary
 from strata.terms import OMEGA, canonical
 
 from conftest import DELTA, ID, OMEGA_LOOP
@@ -62,14 +73,20 @@ class TestOracle:
     def test_growing_term_is_unknown_within_fuel(self):
         assert Oracle(CBV, 40).status(parse(GROWER)) == UNKNOWN
 
-    def test_a_miss_builds_one_canonical_key(self, monkeypatch):
-        keys = []
-        canonical = strata.approx.canonical
-        monkeypatch.setattr(strata.approx, "canonical",
-                            lambda t: keys.append(t) or canonical(t))
+    def test_a_lookup_walks_only_the_entries_with_its_free_names(self, monkeypatch):
+        walks = []
+        alpha_eq = strata.summary.alpha_eq
+        monkeypatch.setattr(strata.summary, "alpha_eq",
+                            lambda t, u: walks.append(u) or alpha_eq(t, u))
         oracle = Oracle(CBV, 40)
-        oracle.meaning(parse(OMEGA_LOOP))
-        assert len(keys) == 1
+        report = oracle.meaning(parse(r"x (\y.z)"))  # normal: no step, no entry
+        assert walks == []
+        # same fingerprint, other free names: a miss that walks nothing
+        assert oracle.meaning(parse(r"y (\y.z)")) is not report
+        assert walks == []
+        # an alpha-variant: one walk, and the memo's report
+        assert oracle.meaning(parse(r"x (\w.z)")) is report
+        assert len(walks) == 1
 
     def test_annotation_decides_a_growing_term(self, tmp_path):
         f = tmp_path / "meaningless.txt"
@@ -77,6 +94,128 @@ class TestOracle:
         oracle = Oracle(CBV, 40, Annotations.load(str(f)))
         report = oracle.meaning(parse(r"(\y.y y y) (\y.y y y)"))
         assert report.status == MEANINGLESS and report.asserted
+
+
+def _refuse_canonical(monkeypatch):
+    """Make canonical raise under every strata module name that holds it."""
+
+    def refuse(t):
+        raise AssertionError("canonical was called")
+
+    original = strata.terms.canonical
+    for name, module in list(sys.modules.items()):
+        if name == "strata" or name.startswith("strata."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_no_program_path_builds_a_canonical_key(monkeypatch):
+    _refuse_canonical(monkeypatch)
+    assert normalize(parse(OMEGA_LOOP), CBV, 0.0, 20).outcome == "cycle"
+    oracle = Oracle(CBV, 40, Annotations([parse(GROWER)]))
+    assert oracle.meaning(parse(r"(\y.y y y) (\y.y y y)")).asserted
+    assert alpha_eq(meaningful_approximant(parse(rf"x (\y.{OMEGA_LOOP})"), oracle),
+                    parse(r"x (\y.bot)"))
+    report = stratified_genericity_check(
+        parse(OMEGA_LOOP), parse_context(r"(\y.\i.i) (\z.@)"), parse(ID),
+        CBV, 0.0, fuel=40)
+    assert report.status == OK
+    j = judge(parse(rf"({ID}) ({ID})"), parse(r"\j.j"), CBV, 40)
+    assert j[LAMBDA].certificate.kind == "common-reduct"
+    assert reverify(j, 40)
+
+
+class TestAlphaTable:
+    """Every case is checked within one row: the table is made to file
+    every term under the same fingerprint, so only the free names and
+    alpha_eq can tell its entries apart."""
+
+    @pytest.fixture(autouse=True)
+    def one_row(self, monkeypatch):
+        monkeypatch.setattr(strata.summary, "fingerprint", lambda t: 0)
+
+    def test_alpha_variants_share_a_value(self):
+        table = AlphaTable()
+        table.add(parse(r"\a.\b.a (b x)"), 1)
+        table.add(parse(r"(a y)[a\z]"), 2)
+        assert table.get(parse(r"\c.\d.c (d x)")) == 1
+        assert table.get(parse(r"(b y)[b\z]")) == 2
+        assert table.get(parse(r"\c.\d.c (d y)")) is None
+
+    @pytest.mark.parametrize("left,right", [
+        (parse("x"), parse("y")),
+        (parse("x y"), parse("y x")),
+        (parse(r"\a.\b.a"), parse(r"\a.\b.b")),
+        (BOT, HOLE),
+    ])
+    def test_distinct_terms_are_kept_apart(self, left, right):
+        table = AlphaTable()
+        table.add(left, "left")
+        assert table.get(right) is None
+        table.add(right, "right")
+        assert (table.get(left), table.get(right)) == ("left", "right")
+
+    def test_names_alone_tell_the_first_three_pairs_apart(self):
+        for left, right in (("x", "y"), ("x y", "y x"), (r"\a.\b.a", r"\a.\b.b")):
+            assert summary(parse(left))[FINGERPRINT] == summary(parse(right))[FINGERPRINT]
+
+    def test_an_alpha_variant_of_an_annotated_term_is_asserted(self):
+        oracle = Oracle(CBV, 40, Annotations([parse(GROWER)]))
+        report = oracle.meaning(parse(r"(\y.y y y) (\y.y y y)"))
+        assert report.status == MEANINGLESS and report.asserted
+        assert not oracle.meaning(parse(r"(\y.y y x) (\y.y y y)")).asserted
+        assert oracle.meaning(parse(OMEGA_LOOP)).witness.outcome == "cycle"
+
+
+# plugged into every context of enumerate_contexts(4), whose free names
+# x and y give terms that differ only in free names, and so share a
+# fingerprint
+MEANINGLESS_FILLERS = (OMEGA_LOOP, GROWER, rf"\z.{OMEGA_LOOP}")
+CORPUS_FUEL = 60
+
+
+def _first_repeat(t, calculus, fuel):
+    """The reference cycle check, by canonical keys: the index of the
+    earlier term that the first repeated one repeats, and the number of
+    steps taken to reach it; None when no term repeats."""
+    index = {canonical(t): 0}
+    for n in range(1, fuel + 1):
+        step = reduce_once(t, calculus, 0.0)
+        if step is None:
+            return None
+        t = step.after
+        key = canonical(t)
+        if key in index:
+            return index[key], n
+        index[key] = n
+    return None
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_meaningless_corpus_shared_oracle_answers_as_fresh_ones(calculus):
+    contexts = list(enumerate_contexts(4))
+    assert len(contexts) == 48
+    shared = Oracle(calculus, CORPUS_FUEL)
+    tally = {MEANINGFUL: 0, MEANINGLESS: 0, UNKNOWN: 0}
+    for ctx in contexts:
+        for filler in MEANINGLESS_FILLERS:
+            t = plug(ctx, parse(filler))
+            fresh = Oracle(calculus, CORPUS_FUEL).meaning(t)
+            report = shared.meaning(t)
+            assert report.status == fresh.status, (ctx, filler)
+            tally[fresh.status] += 1
+            if fresh.status != MEANINGLESS:
+                continue
+            # the shared witness may be the trace of an alpha-variant
+            for cycle in (fresh.witness, report.witness):
+                assert alpha_eq(cycle.terms[cycle.cycle_start], cycle.final), (ctx, filler)
+                assert _first_repeat(cycle.start, calculus, CORPUS_FUEL) == (
+                    cycle.cycle_start, len(cycle.steps)), (ctx, filler)
+    assert tally == {
+        CBV: {MEANINGFUL: 89, MEANINGLESS: 30, UNKNOWN: 25},
+        CBN: {MEANINGFUL: 57, MEANINGLESS: 58, UNKNOWN: 29},
+    }[calculus]
 
 
 class TestApproximant:

@@ -298,7 +298,7 @@ class TestTypedGenericity:
         d = spine_derivation()
         ctx = Abs("x", App(Var("y"), Abs("z", parse_context("@"))))
         for probe in ("y", ID, "x x"):
-            d2 = typed_genericity(d, ctx, parse(probe), SYS_V)
+            d2 = typed_genericity(d, ctx, parse(probe))
             assert check_derivation(d2, SYS_V) == []
             assert d2.env == d.env and d2.ty == d.ty
             assert alpha_eq(d2.term, plug(ctx, parse(probe)))
@@ -306,7 +306,7 @@ class TestTypedGenericity:
     def test_refuses_when_the_hole_is_typed(self):
         d = synth_nf_derivation(parse(r"\x.x"), CBV)
         with pytest.raises(GenericityContradiction):
-            typed_genericity(d, parse_context("@"), parse("y"), SYS_V)
+            typed_genericity(d, parse_context("@"), parse("y"))
 
     @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
     def test_every_small_context_around_omega(self, calculus, system):
@@ -321,7 +321,7 @@ class TestTypedGenericity:
                 continue
             typed += 1
             for u in probes:
-                d2 = typed_genericity(d, ctx, u, system)
+                d2 = typed_genericity(d, ctx, u)
                 assert check_derivation(d2, system) == []
                 assert (d2.env, d2.ty) == (d.env, d.ty)
                 assert alpha_eq(d2.term, plug(ctx, u))
