@@ -18,7 +18,8 @@ replaced by any term without touching the judgment.
 from __future__ import annotations
 
 from .terms import Abs, App, Es, Hole, Position, Term, Var, alpha_eq, free_vars, path_to, plug
-from .reduce import Step, _peel_es_spine
+from .reduce import Step, _peel_es_spine, normalize
+from .typecheck import SYSTEM_OF, synth_nf_derivation
 from .types_core import (
     EMPTY,
     Arrow,
@@ -352,9 +353,6 @@ def typable(t: Term, calculus: str, fuel: int | None = None):
     attached), "untypable" (the surface reduction loops), or "unknown"
     (fuel ran out).
     """
-    from .reduce import normalize
-    from .typecheck import SYSTEM_OF, synth_nf_derivation
-
     trace = normalize(t, calculus, 0.0, fuel)
     if trace.outcome == "cycle":
         return "untypable", None

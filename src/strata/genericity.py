@@ -18,10 +18,11 @@ constructive.  Given t meaningless, a context C and a probe u:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
-from .terms import Level, Term, partial_leq, plug, show
-from .reduce import Step, normalize
+from .terms import Level, Term, bot_positions, parse, partial_leq, plug, replace_at, show
+from .reduce import Step, apply_step, find_redexes, normalize, step_from_dict, step_to_dict
 from .nf import NOT_NF, classify_nf, is_bno, is_normal, strat_eq
 from .approx import (
     MEANINGLESS,
@@ -29,9 +30,11 @@ from .approx import (
     Oracle,
     Undetermined,
     approximate_step,
+    lift_step,
     lift_trace,
     meaningful_approximant,
 )
+from .corpus import random_term
 
 OK = "ok"
 VIOLATED = "violated"
@@ -156,13 +159,6 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
       4. refining a partial normal form keeps it normal and equal up
          to the level.
     """
-    import random
-
-    from .approx import lift_step
-    from .corpus import random_term
-    from .reduce import apply_step, find_redexes, step_to_dict
-    from .terms import bot_positions, replace_at
-
     rng = random.Random(seed)
     oracle = Oracle(calculus, fuel)
     checked = {"steps": 0, "lifts": 0, "approximants": 0, "refinements": 0}
@@ -226,10 +222,6 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
 def reproduce_violation(v: dict, fuel: int = 400) -> bool:
     """Replay a violation certificate from axiom_suite; True when the
     recorded failure still occurs."""
-    from .approx import lift_step
-    from .reduce import step_from_dict
-    from .terms import parse
-
     calculus = v["calculus"]
     kind = v["kind"]
     if kind == "approximate":

@@ -15,7 +15,7 @@ lifts the gate entirely.
 
 The default strategy is leftmost-outermost: the redex whose position
 comes first in the pre-order traversal.  The search for it descends
-from the root along the cached node summaries of ``strata.summary``,
+from the root along the node summaries of ``strata.terms``,
 into the leftmost child whose subterm holds a redex the level lets
 through, so a step costs time in the depth of the redex, not in the
 size of the term.
@@ -26,12 +26,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .summary import (
-    ABS, CORE, NO_REDEX, OTHER, AlphaTable, min_level_field, summarize, summary,
-)
+from .summary import AlphaTable, min_level_field
 from .terms import (
+    ABS,
     CBN,
     CBV,
+    CORE,
+    NO_REDEX,
+    OTHER,
     Abs,
     App,
     Es,
@@ -39,8 +41,9 @@ from .terms import (
     OMEGA,
     Position,
     Term,
+    Var,
+    fresh_name,
     free_vars,
-    freshen,
     is_value,
     level_of,
     parse,
@@ -116,7 +119,7 @@ def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
 def min_redex_level(t: Term, calculus: str) -> Level | None:
     """The smallest level at which t has a redex, or None if t is normal
     even at level omega."""
-    lvl = summary(t)[min_level_field(calculus)]
+    lvl = t.summary[min_level_field(calculus)]
     return None if lvl == NO_REDEX else float(lvl)
 
 
@@ -134,7 +137,7 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
     field = min_level_field(calculus)
     by_value = calculus == CBV
     gate = min(level, _LAST_LEVEL)
-    if summary(t)[field] > gate:
+    if t.summary[field] > gate:
         return None
     # invariant: t holds a redex at level at most gate, counting depth
     # for the edges crossed to reach t
@@ -144,9 +147,9 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
         kind = type(t)
         if kind is App:
             f = t.fun
-            if f._summary[CORE] == ABS:
+            if f.summary[CORE] == ABS:
                 return Redex(tuple(path), DB, float(depth))
-            if depth + f._summary[field] <= gate:
+            if depth + f.summary[field] <= gate:
                 path.append("l")
                 t = f
             else:
@@ -157,9 +160,9 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
         elif kind is Es:
             if not by_value:
                 return Redex(tuple(path), SN, float(depth))
-            if t.arg._summary[CORE] != OTHER:
+            if t.arg.summary[CORE] != OTHER:
                 return Redex(tuple(path), SV, float(depth))
-            if depth + t.body._summary[field] <= gate:
+            if depth + t.body.summary[field] <= gate:
                 path.append("s")
                 t = t.body
             else:
@@ -192,11 +195,19 @@ def _rebuild_spine(spine: list[tuple[str, Term]], core: Term) -> Term:
 
 
 def _freshen_spine(t: Term, incoming: frozenset[str]) -> Term:
-    """t = L<core> with its binders renamed out of the way of the
-    incoming free names, which move under L; the same node when no
-    binder of L is among them."""
-    spine, _ = _peel_es_spine(t)
-    return freshen(t, incoming) if any(x in incoming for x, _ in spine) else t
+    """t = L<core> with the binders of L that are among the incoming
+    free names, which move under L, renamed out of their way; the same
+    node when there are none.  Binders inside the core or the arguments
+    of L keep their names: nothing moves under them."""
+    spine, core = _peel_es_spine(t)
+    if not any(x in incoming for x, _ in spine):
+        return t
+    for x, arg in reversed(spine):  # core is the scope of x
+        if x in incoming:
+            y = fresh_name(x, free_vars(core) | incoming)
+            core, x = subst(core, {x: Var(y)}), y
+        core = Es(core, x, arg)
+    return core
 
 
 def _contract(t: Term, rule: str, calculus: str) -> Term:
@@ -226,21 +237,16 @@ def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
     """Contract one redex occurrence; re-validates the match first.
 
     One descent to the redex keeps the nodes on its path, and one ascent
-    rebuilds them over the contractum.  The result has its summary:
-    each rebuilt node gets it from its children's, so only the new nodes
-    of the contractum are walked."""
+    rebuilds them over the contractum."""
     pos = redex.position
     path = path_to(t, pos)
     sub = path.pop()
     rule = _rule_at(sub, calculus)
     if rule != redex.rule:
         raise ValueError(f"no {redex.rule} redex at position {''.join(pos) or 'root'}")
-    summary(t)  # the siblings along the path need theirs
     after = _contract(sub, rule, calculus)
-    summary(after)
     for i in range(len(pos) - 1, -1, -1):
         after = with_child(path[i], pos[i], after)
-        summarize(after)
     return Step(t, after, pos, rule, redex.level)
 
 

@@ -9,6 +9,9 @@ where ``t[x\\u]`` is an explicit (delayed) substitution binding ``x`` in
 unevaluated or discarded fragment.  Terms with no ``bot`` are called
 total; terms with no explicit substitution are called pure.
 
+Every node is built with its summary (see below): the engine, the
+alpha-keyed tables and free_vars read it instead of walking the term.
+
 Contexts are terms with exactly one occurrence of the hole ``@``.
 Plugging a term into a context is literal replacement: the context may
 capture free variables of the plugged term, which is deliberate.
@@ -34,17 +37,71 @@ CBN = "cbn"
 Position = tuple[str, ...]
 
 
-class Node:
-    """Base of the term classes.  It reserves the slots in which
-    ``strata.summary`` caches a node's summary and ``free_vars`` its
-    free names; construction leaves both slots empty."""
+# A node's summary is computed when the node is built, from its
+# children's summaries alone, and kept in its ``summary`` slot.  It is a
+# tuple with five fields:
+#
+#   FINGERPRINT  a structural hash that ignores every name, so that
+#                alpha-equal terms have equal fingerprints;
+#   CORE         what the node is under its explicit-substitution body
+#                spine: ABS, VAR or OTHER.  The rules look no further
+#                below a node than this (dB needs an abstraction under
+#                the function's spine, sv a value under the argument's);
+#   CBV_MIN      the shallowest level of a call-by-value redex in the
+#   CBN_MIN      subterm, and of a call-by-name one, relative to the
+#                node, as an int; NO_REDEX when the subterm has none;
+#   FREE         the free names, as a frozenset shared with a child
+#                whenever the child has the same names.
+#
+# Levels add up along a path (a binder counts one in call-by-value, an
+# argument edge one in call-by-name), so the shallowest level is
+# compositional: zero when the node itself is a redex, otherwise the
+# least over its children of the edge's cost plus the child's value.
+FINGERPRINT, CORE, CBV_MIN, CBN_MIN, FREE = range(5)
 
-    __slots__ = ("_summary", "_fv")
+ABS, VAR, OTHER = range(3)
+
+NO_REDEX: Level = float("inf")
+
+# The fingerprint's tags are small integers, whose hashes do not vary
+# from run to run as those of strings do.  Fingerprints and levels are
+# kept below 2**30, where an int takes the least memory (and levels
+# below 257 are shared objects); a fingerprint only files the entries
+# of strata.summary.AlphaTable, so its width only costs collisions.
+_MASK = (1 << 30) - 1
+_NO_NAMES: frozenset[str] = frozenset()
+_BOT = (hash((4,)) & _MASK, OTHER, NO_REDEX, NO_REDEX, _NO_NAMES)
+_HOLE = (hash((5,)) & _MASK, OTHER, NO_REDEX, NO_REDEX, _NO_NAMES)
+_VAR_FINGERPRINT = hash((0,)) & _MASK
+_VARS: dict[str, tuple] = {}  # the summary of each variable, by name
+
+
+class Node:
+    """Base of the term classes: every node is built with its summary."""
+
+    __slots__ = ("summary",)
+
+
+_store = Node.summary.__set__  # writes the slot of a frozen node
+
+# Each constructor below reads its children's summaries only, so a term
+# of any depth is summarized as it is built, bottom-up.  Comparisons
+# stand in for min() and a free-name set is copied only when it gains
+# or loses a name, as this runs once per new node; a level seen across
+# an edge that counts is one more, but NO_REDEX stays the one shared
+# object.
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Node):
     name: str
+
+    def __post_init__(self):
+        s = _VARS.get(self.name)
+        if s is None:
+            s = _VARS[self.name] = (_VAR_FINGERPRINT, VAR, NO_REDEX, NO_REDEX,
+                                    frozenset((self.name,)))
+        _store(self, s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,11 +109,36 @@ class Abs(Node):
     binder: str
     body: "Term"
 
+    def __post_init__(self):
+        sb = self.body.summary
+        free = sb[FREE]
+        if self.binder in free:
+            free = free - {self.binder} or _NO_NAMES
+        cbv = sb[CBV_MIN]
+        _store(self, (hash((1, sb[FINGERPRINT])) & _MASK, ABS,
+                      cbv if cbv == NO_REDEX else cbv + 1, sb[CBN_MIN], free))
+
 
 @dataclass(frozen=True, slots=True)
 class App(Node):
     fun: "Term"
     arg: "Term"
+
+    def __post_init__(self):
+        sl, sr = self.fun.summary, self.arg.summary
+        fp = hash((2, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK
+        free, fa = sl[FREE], sr[FREE]
+        if not fa <= free:
+            free = fa if free <= fa else free | fa
+        if sl[CORE] == ABS:  # dB at the node
+            s = (fp, OTHER, 0, 0, free)
+        else:
+            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
+            cbn, arg = sl[CBN_MIN], sr[CBN_MIN]
+            if arg != NO_REDEX and arg + 1 < cbn:
+                cbn = arg + 1
+            s = (fp, OTHER, cbv if cbv < right else right, cbn, free)
+        _store(self, s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,15 +149,35 @@ class Es(Node):
     binder: str
     arg: "Term"
 
+    def __post_init__(self):
+        sl, sr = self.body.summary, self.arg.summary
+        free, fa = sl[FREE], sr[FREE]
+        if self.binder in free:
+            free = free - {self.binder} or _NO_NAMES
+        if not fa <= free:
+            free = fa if free <= fa else free | fa
+        # sN matches every substitution, sv one whose argument is a
+        # value under its spine
+        if sr[CORE] != OTHER:
+            cbv = 0
+        else:
+            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
+            if right < cbv:
+                cbv = right
+        _store(self, (hash((3, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK,
+                      sl[CORE], cbv, 0, free))
+
 
 @dataclass(frozen=True, slots=True)
 class Bot(Node):
-    pass
+    def __post_init__(self):
+        _store(self, _BOT)
 
 
 @dataclass(frozen=True, slots=True)
 class Hole(Node):
-    pass
+    def __post_init__(self):
+        _store(self, _HOLE)
 
 
 Term = Union[Var, Abs, App, Es, Bot, Hole]
@@ -90,57 +192,8 @@ def is_value(t: Term) -> bool:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The free names of t, cached on each compound node.
-
-    Iterative, as ``strata.summary.summary`` is: a node stays on the
-    stack until its children have their names.  A node whose names are
-    those of a child shares the child's set."""
-    fv = _known_fv(t)
-    if fv is not None:
-        return fv
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        kind = type(node)
-        if kind is Abs:
-            fv = _known_fv(node.body)
-            if fv is None:
-                stack.append(node.body)
-                continue
-            if node.binder in fv:
-                fv = fv - {node.binder}
-        else:  # an application or a substitution
-            left = node.fun if kind is App else node.body
-            fv = _known_fv(left)
-            if fv is None:
-                stack.append(left)
-                continue
-            fa = _known_fv(node.arg)
-            if fa is None:
-                stack.append(node.arg)
-                continue
-            if kind is Es and node.binder in fv:
-                fv = fv - {node.binder}
-            if not fa <= fv:
-                fv = fa if fv <= fa else fv | fa
-        _store_fv(node, fv)
-        stack.pop()
-    return fv
-
-
-_NO_NAMES: frozenset[str] = frozenset()
-_store_fv = Node._fv.__set__  # writes the reserved slot of a frozen node
-
-
-def _known_fv(t: Term) -> frozenset[str] | None:
-    """The free names of a leaf, or the cached ones of a compound node;
-    None when they are not computed yet."""
-    kind = type(t)
-    if kind is Var:
-        return frozenset((t.name,))
-    if kind is Bot or kind is Hole:
-        return _NO_NAMES
-    return getattr(t, "_fv", None)
+    """The free names of t, read from its summary."""
+    return t.summary[FREE]
 
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
@@ -287,34 +340,6 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
         return (y, go(b, env)) if env else (y, b)
 
     return go(t, env)
-
-
-def freshen(t: Term, clash: frozenset[str] | set[str]) -> Term:
-    """t with every binder in clash renamed, by subst, to a name outside
-    clash; the same node when no binder of t is in clash."""
-
-    def away(y: str, b: Term) -> tuple[str, Term]:
-        if y in clash:
-            y2 = fresh_name(y, free_vars(b) | clash)
-            y, b = y2, subst(b, {y: Var(y2)})
-        return y, go(b)
-
-    def go(t: Term) -> Term:
-        match t:
-            case Abs(y, b):
-                y2, b2 = away(y, b)
-                return t if b2 is b and y2 == y else Abs(y2, b2)
-            case App(f, a):
-                f2, a2 = go(f), go(a)
-                return t if f2 is f and a2 is a else App(f2, a2)
-            case Es(b, y, a):
-                y2, b2 = away(y, b)
-                a2 = go(a)
-                return t if b2 is b and y2 == y and a2 is a else Es(b2, y2, a2)
-            case _:
-                return t
-
-    return go(t)
 
 
 def canonical(t: Term) -> tuple:

@@ -12,7 +12,6 @@ from strata import (
     BOT,
     CBN,
     CBV,
-    HOLE,
     LAMBDA,
     Annotations,
     Collapsed,
@@ -39,8 +38,8 @@ from strata import (
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts
 from strata.genericity import OK
-from strata.summary import FINGERPRINT, AlphaTable, summary
-from strata.terms import OMEGA, canonical
+from strata.summary import AlphaTable
+from strata.terms import FINGERPRINT, OMEGA, canonical
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -126,39 +125,42 @@ def test_no_program_path_builds_a_canonical_key(monkeypatch):
     assert reverify(j, 40)
 
 
-class TestAlphaTable:
-    """Every case is checked within one row: the table is made to file
-    every term under the same fingerprint, so only the free names and
-    alpha_eq can tell its entries apart."""
+def _one_row(*terms):
+    """The terms, asserted to share one fingerprint, so that only their
+    free names and alpha_eq can tell them apart in an AlphaTable."""
+    assert len({t.summary[FINGERPRINT] for t in terms}) == 1
+    return terms
 
-    @pytest.fixture(autouse=True)
-    def one_row(self, monkeypatch):
-        monkeypatch.setattr(strata.summary, "fingerprint", lambda t: 0)
+
+class TestAlphaTable:
+    """Every case is checked within one fingerprint: the terms of each
+    case differ only in names."""
 
     def test_alpha_variants_share_a_value(self):
-        table = AlphaTable()
-        table.add(parse(r"\a.\b.a (b x)"), 1)
-        table.add(parse(r"(a y)[a\z]"), 2)
-        assert table.get(parse(r"\c.\d.c (d x)")) == 1
-        assert table.get(parse(r"(b y)[b\z]")) == 2
-        assert table.get(parse(r"\c.\d.c (d y)")) is None
+        entries = _one_row(parse(r"\a.\b.a (b x)"), parse(r"\a.\b.b (a x)"))
+        table = AlphaTable(zip(entries, (1, 2)))
+        same, swapped, other = _one_row(
+            parse(r"\c.\d.c (d x)"), parse(r"\c.\d.d (c x)"), parse(r"\c.\d.c (d y)"))
+        assert table.get(same) == 1
+        assert table.get(swapped) == 2
+        assert table.get(other) is None
 
     @pytest.mark.parametrize("left,right", [
         (parse("x"), parse("y")),
         (parse("x y"), parse("y x")),
         (parse(r"\a.\b.a"), parse(r"\a.\b.b")),
-        (BOT, HOLE),
+        (parse(r"(a y)[a\z]"), parse(r"(z y)[a\z]")),
     ])
     def test_distinct_terms_are_kept_apart(self, left, right):
-        table = AlphaTable()
-        table.add(left, "left")
+        _one_row(left, right)
+        table = AlphaTable([(left, "left")])
         assert table.get(right) is None
         table.add(right, "right")
         assert (table.get(left), table.get(right)) == ("left", "right")
 
     def test_names_alone_tell_the_first_three_pairs_apart(self):
         for left, right in (("x", "y"), ("x y", "y x"), (r"\a.\b.a", r"\a.\b.b")):
-            assert summary(parse(left))[FINGERPRINT] == summary(parse(right))[FINGERPRINT]
+            _one_row(parse(left), parse(right))
 
     def test_an_alpha_variant_of_an_annotated_term_is_asserted(self):
         oracle = Oracle(CBV, 40, Annotations([parse(GROWER)]))

@@ -1,7 +1,7 @@
 """The guided leftmost-outermost engine against find_redexes, the full
-redex listing it replaces on the hot path; fingerprints and cached
-summaries; the summaries and free names that contraction caches; a pin
-on the traces; fuel semantics; and the typing regressions of the
+redex listing it replaces on the hot path; fingerprints and the
+summaries that every node is built with, also the nodes contraction
+builds; a pin on the traces; fuel semantics; and the typing regressions of the
 call-by-name expansion."""
 
 import hashlib
@@ -31,15 +31,12 @@ from strata import (
 from strata.cli import main
 from strata.corpus import enumerate_terms
 from strata.reduce import (
-    Redex,
-    apply_step,
     leftmost_redex,
     min_redex_level,
     redex_at,
     trace_to_dict,
 )
-from strata.summary import fingerprint, summary
-from strata.terms import Es, free_vars, subterm_at, subterms
+from strata.terms import ABS, CORE, FINGERPRINT, FREE, Es, free_vars, subterm_at, subterms
 
 from conftest import ID, OMEGA_LOOP
 
@@ -128,18 +125,19 @@ class TestAgainstTheFullListing:
 
 class TestSummaries:
     def test_alpha_equal_terms_share_a_fingerprint(self):
-        assert fingerprint(parse(r"\x.\y.x y")) == fingerprint(parse(r"\a.\b.a b"))
-        assert fingerprint(parse(r"(x)[x\y]")) == fingerprint(parse(r"(z)[z\y]"))
+        assert _fingerprint(r"\x.\y.x y") == _fingerprint(r"\a.\b.a b")
+        assert _fingerprint(r"(x)[x\y]") == _fingerprint(r"(z)[z\y]")
 
     def test_fingerprint_sees_the_shape(self):
-        assert fingerprint(parse(r"\x.x x")) != fingerprint(parse(r"(\x.x) x"))
-        assert fingerprint(parse(r"x (y z)")) != fingerprint(parse(r"x y z"))
+        assert _fingerprint(r"\x.x x") != _fingerprint(r"(\x.x) x")
+        assert _fingerprint(r"x (y z)") != _fingerprint(r"x y z")
 
     def test_summary_lives_in_a_slot(self):
-        t = parse(ID)
-        summary(t)
+        t = Abs("x", App(Var("x"), Var("y")))  # summarized as it is built
         assert not hasattr(t, "__dict__")
-        assert t._summary is summary(t)
+        assert t.summary[CORE] == ABS and t.summary[FREE] == {"y"}
+        # a variable's summary is shared by every variable of its name
+        assert Var("y").summary is t.body.arg.summary
 
     def test_deep_term_needs_no_deep_recursion(self):
         deep = Var("x")
@@ -149,6 +147,10 @@ class TestSummaries:
         assert min_redex_level(t, CBV) == 0.0
         assert leftmost_redex(t, CBV, 0.0).position == ("r",)
         assert is_normal(Abs("x", t), CBV, 0.0)
+
+
+def _fingerprint(text):
+    return parse(text).summary[FINGERPRINT]
 
 
 def _names(t):
@@ -167,9 +169,9 @@ def _names(t):
 
 
 class TestContractionCaches:
-    """apply_step gives each node it rebuilds a summary from its
-    children's, and subst and _contract read cached free names: both
-    must equal what a fresh computation gives."""
+    """Every node of a contractum, shared or rebuilt, carries the
+    summary that the same term parsed afresh has, and free names equal
+    to those of a walk that reads no summary."""
 
     def test_rebuilt_summaries_and_cached_names_are_fresh(self, terms):
         checked = 0
@@ -177,16 +179,10 @@ class TestContractionCaches:
             for c in CALCULI:
                 for k in (0.0, 1.0, OMEGA):
                     for step in normalize(t, c, k, 12).steps:
-                        # the same step again, its result not yet seen
-                        # by the redex search that would summarize it
-                        redex = Redex(step.position, step.rule, step.level)
-                        after = apply_step(step.before, redex, c).after
+                        after = step.after
                         unshared = parse(show(after, rename=False))
-                        for i in range(len(step.position) + 1):
-                            pos = step.position[:i]
-                            assert (subterm_at(after, pos)._summary
-                                    == summary(subterm_at(unshared, pos))), (t, c, k, pos)
                         for pos, s in subterms(after):
+                            assert s.summary == subterm_at(unshared, pos).summary, (t, c, k, pos)
                             assert free_vars(s) == _names(s), (t, c, k, pos)
                         checked += 1
         assert checked > 10_000

@@ -25,7 +25,7 @@ from strata.reduce import (
     step_to_dict,
     trace_to_dict,
 )
-from strata.terms import free_vars
+from strata.terms import free_vars, show
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -65,6 +65,25 @@ class TestRules:
         assert s.rule == SV
         assert "y" in free_vars(s.after)
         assert alpha_eq(s.after, parse(r"((\w.w) y)[u\z]"))
+
+    def test_db_at_a_distance_renames_only_the_spine_binder(self):
+        # the argument's free x moves under the spine binder x, not under
+        # the core's \x
+        s = reduce_once(parse(r"(\y.x (\x.x y))[x\w] x"), CBV, 0.0)
+        assert s.rule == DB
+        assert show(s.after, rename=False) == r"(x0 (\x.x y))[y\x][x0\w]"
+        assert alpha_eq(s.after, parse(r"(v (\u.u y))[y\x][v\w]"))
+        # no clash, no renaming
+        s = reduce_once(parse(r"(\y.x (\x.x y))[x\w] z"), CBV, 0.0)
+        assert show(s.after, rename=False) == r"(x (\x.x y))[y\z][x\w]"
+
+    def test_sv_at_a_distance_renames_only_the_spine_binder(self):
+        # the body's free y moves under the spine binder y, not under the
+        # value's \y
+        s = reduce_once(parse(r"(x y)[x\(\u.y (\y.y u))[y\w]]"), CBV, 0.0)
+        assert s.rule == SV
+        assert show(s.after, rename=False) == r"((\u.y0 (\y.y u)) y)[y0\w]"
+        assert alpha_eq(s.after, parse(r"((\u.v (\z.z u)) y)[v\w]"))
 
     def test_cbn_closure_substitutes_any_argument(self):
         s = reduce_once(parse(r"(x x)[x\y z]"), CBN, 0.0)

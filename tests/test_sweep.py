@@ -1,18 +1,42 @@
 """Exhaustive sweep, marked slow and left out of the default run
-(``pytest -m slow`` runs it, in about 40 s on a 2-core machine): every
-term up to size 8 is typed, the derivation is checked independently,
-and it is carried along the surface trace step by step and back, each
-derivation typing the step's own endpoint."""
+(``pytest -m slow`` runs it, in about 5 minutes on a 2-core machine):
+every term up to size 9, the first size that holds Omega.  Each typable
+term's derivation is checked independently and carried along the
+surface trace step by step and back, each derivation typing the step's
+own endpoint.  Each surface trace that ends in a cycle is checked
+against a reference loop keyed by canonical."""
 
 import pytest
 
 from strata import (
-    CBN, CBV, check_derivation, expand_derivation, normalize, reduce_derivation, typable,
+    CBN, CBV, canonical, check_derivation, expand_derivation, normalize, reduce_derivation,
+    typable,
 )
 from strata.corpus import enumerate_terms
 from strata.typecheck import SYSTEM_OF
 
 FUEL = 30
+
+# the terms up to size 9 whose surface trace is a cycle: Omega, written
+# as an application or as (x x)[x\\x.x x]; by name also two terms whose
+# cycle runs under a binder
+CYCLES = {CBV: 2, CBN: 4}
+
+
+def _cycle_mismatch(trace) -> str | None:
+    """What the reference loop, which keys every term of the trace by
+    canonical, finds wrong with the trace's cycle; None if nothing."""
+    keys = [canonical(t) for t in trace.terms]
+    seen = {}
+    for i, key in enumerate(keys):
+        if key in seen:
+            if i != len(keys) - 1:
+                return f"a repeat at step {i}, before the trace ends"
+            if seen[key] != trace.cycle_start:
+                return f"cycle_start {trace.cycle_start}, reference {seen[key]}"
+            return None
+        seen[key] = i
+    return "no repeat"
 
 
 @pytest.mark.slow
@@ -20,9 +44,16 @@ FUEL = 30
 def test_derivations_check_and_follow_the_surface_trace(calculus):
     system = SYSTEM_OF[calculus]
     bad = []
-    for t in enumerate_terms(8):
+    cycles = 0
+    for t in enumerate_terms(9):
         status, d = typable(t, calculus, FUEL)
         if status != "typable":
+            trace = normalize(t, calculus, 0.0, FUEL)
+            if trace.outcome == "cycle":
+                cycles += 1
+                mismatch = _cycle_mismatch(trace)
+                if mismatch:
+                    bad.append((t, mismatch))
             continue
         if check_derivation(d, system):
             bad.append((t, "typable"))
@@ -40,3 +71,4 @@ def test_derivations_check_and_follow_the_surface_trace(calculus):
                     bad.append((t, "back", step.rule, step.position))
                     break
     assert bad == []
+    assert cycles == CYCLES[calculus]

@@ -29,7 +29,6 @@ from strata.terms import (
     canonical,
     fresh_name,
     free_vars,
-    freshen,
     hole_positions,
     is_context,
     is_value,
@@ -168,15 +167,6 @@ class TestSubstitution:
         assert fresh_name("y", {"y"}) == "y0"
         assert fresh_name("y", {"y", "y0", "y2"}) == "y1"
         assert fresh_name("x12", {"x12"}) == "x0"
-
-    def test_freshen_renames_the_clashing_binders(self):
-        t = parse(r"(\x.\y.x y z)[y\x]")
-        out = freshen(t, {"x", "y"})
-        assert alpha_eq(out, t)
-        binders = [s.binder for _, s in subterms(out) if isinstance(s, (Abs, Es))]
-        assert not {"x", "y"} & set(binders)
-        assert freshen(t, {"w"}) is t
-        assert freshen(parse(r"\x.z"), {"x"}) == parse(r"\x0.z")
 
 
 class TestAlpha:
