@@ -7,9 +7,6 @@ Meaningless (level-0 reduction is deterministic enough that a cycle on
 the chosen strategy is a genuine loop), and running out of fuel leaves
 the question Unknown.
 
-An annotation store lets callers assert meaninglessness for terms the
-bounded oracle cannot decide; assertions are consulted up to alpha.
-
 The meaningful approximant A(t) prunes the meaningless parts of a term
 down to bot.  A meaningless node collapses to bot exactly when pruning
 its children is not enough to isolate the divergence: either the pruned
@@ -37,10 +34,9 @@ from .terms import (
     alpha_eq,
     bot_positions,
     level_of,
-    parse,
     partial_leq,
 )
-from .reduce import Step, Trace, apply_step, normalize, redex_at
+from .reduce import Step, apply_step, normalize, redex_at
 from .summary import AlphaTable
 
 MEANINGFUL = "meaningful"
@@ -49,39 +45,22 @@ UNKNOWN = "unknown"
 _STATUS = {"normal": MEANINGFUL, "cycle": MEANINGLESS}  # by trace outcome
 
 
-class Annotations:
-    """User-supplied meaninglessness assertions, matched up to alpha."""
-
-    def __init__(self, terms: list[Term] | None = None):
-        self.terms = tuple(terms or ())
-
-    @classmethod
-    def load(cls, path: str) -> "Annotations":
-        with open(path) as fh:
-            lines = [line.strip() for line in fh]
-        return cls([parse(line) for line in lines if line and not line.startswith("#")])
-
-
 @dataclass(frozen=True)
 class MeaningReport:
     status: str
-    # a surface normal form for Meaningful, a cycle trace for
-    # Meaningless (None when asserted), nothing for Unknown
+    # the surface trace, ending in a normal form for Meaningful and in a
+    # cycle for Meaningless; nothing for Unknown
     witness: object = None
-    asserted: bool = False
 
 
 class Oracle:
     """Memoizing meaningfulness oracle for one calculus.  Its memo maps
-    terms up to alpha and starts with the asserted terms."""
+    terms up to alpha."""
 
-    def __init__(self, calculus: str, fuel: int | None = None,
-                 annotations: Annotations | None = None):
+    def __init__(self, calculus: str, fuel: int | None = None):
         self.calculus = calculus
         self.fuel = fuel
-        self.annotations = annotations or Annotations()
-        asserted = MeaningReport(MEANINGLESS, None, asserted=True)
-        self._memo = AlphaTable((t, asserted) for t in self.annotations.terms)
+        self._memo = AlphaTable()
         # the last approximant computed: for every node met on the way,
         # by id(node), the node itself (so that its id stays taken) and
         # its approximant
@@ -151,8 +130,7 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
-        if report.status == MEANINGLESS and _inseparable(
-                hat, oracle, pos, report.witness if hat is t else None):
+        if report.status == MEANINGLESS and _inseparable(hat, oracle, pos):
             hat = BOT
         table[id(t)] = (t, hat)
         return hat
@@ -165,20 +143,15 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
     return hat
 
 
-def _inseparable(hat: Term, oracle: Oracle, pos: Position,
-                 cycle: Trace | None) -> bool:
+def _inseparable(hat: Term, oracle: Oracle, pos: Position) -> bool:
     """The pruned form hat of a meaningless node still carries a bot at
-    surface level or still fails to surface-normalize.  cycle is the
-    oracle's witness when pruning left the node unchanged, and then is
-    the surface trace of hat itself."""
+    surface level or is itself meaningless."""
     if any(level_of(hat, p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
         return True
-    trace = cycle or normalize(hat, oracle.calculus, 0.0, oracle.fuel)
-    if trace.outcome == "cycle":
-        return True
-    if trace.outcome != "normal":
+    status = oracle.status(hat)
+    if status == UNKNOWN:
         raise _Undecided(pos)
-    return False
+    return status == MEANINGLESS
 
 
 class _Undecided(Exception):

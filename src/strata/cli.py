@@ -3,8 +3,9 @@
 Exit codes, uniformly: 0 for success / equal / pass, 1 for a negative
 or violated result, 2 when the question could not be decided within
 the budget, 3 for usage errors (bad syntax, bad flags, unreadable
-files), 4 for an internal error (the machinery failed, for example by
-running out of recursion depth): never a verdict.
+files, a meaningful term given to genericity, whose theorem then does
+not apply), 4 for an internal error (the machinery failed, for example
+by running out of recursion depth): never a verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import sys
 
 from .approx import (
-    Annotations,
     MEANINGFUL,
     MEANINGLESS,
     Oracle,
@@ -24,6 +24,7 @@ from .approx import (
 from .deriv_transform import typable
 from .genericity import (
     DEFAULT_PROBES,
+    INAPPLICABLE,
     OK,
     VIOLATED,
     axiom_suite,
@@ -92,12 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "normalization) of a term")
     p.add_argument("term")
     _add_common(p)
-    p.add_argument("--annotations", help="file of terms asserted meaningless")
 
     p = sub.add_parser("approximant", help="meaningful approximant of a term")
     p.add_argument("term")
     _add_common(p)
-    p.add_argument("--annotations")
 
     p = sub.add_parser("type-check", help="check a derivation file")
     p.add_argument("file")
@@ -132,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return root
-
-
-def _oracle(args) -> Oracle:
-    ann = Annotations.load(args.annotations) if getattr(args, "annotations", None) \
-        else None
-    return Oracle(args.calculus, args.fuel, ann)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -181,11 +174,12 @@ def _dispatch(args) -> int:
             print("equal" if same else "different")
             return 0 if same else 1
         case "meaning":
-            report = _oracle(args).meaning(parse(args.term))
-            print(report.status + (" (asserted)" if report.asserted else ""))
+            report = Oracle(args.calculus, args.fuel).meaning(parse(args.term))
+            print(report.status)
             return {MEANINGFUL: 0, MEANINGLESS: 1}.get(report.status, 2)
         case "approximant":
-            a = meaningful_approximant(parse(args.term), _oracle(args))
+            a = meaningful_approximant(parse(args.term),
+                                       Oracle(args.calculus, args.fuel))
             if isinstance(a, Undetermined):
                 print(f"undetermined at position {''.join(a.position) or 'root'}")
                 return 2
@@ -226,6 +220,8 @@ def _dispatch(args) -> int:
                       + (f" ({r.detail})" if r.detail else ""))
             if VIOLATED in statuses:
                 return 1
+            if INAPPLICABLE in statuses:
+                return USAGE_ERROR
             return 0 if all(s == OK for s in statuses) else 2
         case "judge":
             j = judge(parse(args.left), parse(args.right), args.calculus,

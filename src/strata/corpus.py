@@ -8,7 +8,7 @@ from typing import Iterator
 from .terms import BOT, HOLE, Abs, App, Es, Term, Var
 
 
-def _terms_by_size(frees: tuple[str, ...], include_bot: bool):
+def _terms_by_size(frees: tuple[str, ...]):
     """The memoized table of enumerate_terms: at(size, depth) lists the
     terms of that size under depth binders named b0, b1, ..."""
     memo: dict[tuple[int, int], list[Term]] = {}
@@ -21,8 +21,6 @@ def _terms_by_size(frees: tuple[str, ...], include_bot: bool):
         if size == 1:
             out.extend(Var(v) for v in frees)
             out.extend(Var(f"b{i}") for i in range(depth))
-            if include_bot:
-                out.append(BOT)
         else:
             binder = f"b{depth}"
             out.extend(Abs(binder, b) for b in at(size - 1, depth + 1))
@@ -38,14 +36,10 @@ def _terms_by_size(frees: tuple[str, ...], include_bot: bool):
     return at
 
 
-def enumerate_terms(
-    max_size: int,
-    frees: tuple[str, ...] = ("x", "y"),
-    include_bot: bool = False,
-) -> Iterator[Term]:
-    """All terms up to the given size over the free variables, one per
-    alpha-class (binders are named canonically by depth)."""
-    at = _terms_by_size(frees, include_bot)
+def enumerate_terms(max_size: int) -> Iterator[Term]:
+    """All terms up to the given size over the free variables x and y,
+    one per alpha-class (binders are named canonically by depth)."""
+    at = _terms_by_size(("x", "y"))
     for size in range(1, max_size + 1):
         yield from at(size, 0)
 
@@ -54,7 +48,7 @@ def enumerate_contexts(
     max_size: int, frees: tuple[str, ...] = ("x", "y")
 ) -> Iterator[Term]:
     """All one-hole contexts up to the given size, smallest first."""
-    terms = _terms_by_size(frees, False)
+    terms = _terms_by_size(frees)
     ctx_memo: dict[tuple[int, int], list[Term]] = {}
 
     def ctxs(size: int, depth: int) -> list[Term]:

@@ -39,7 +39,12 @@ from .corpus import random_term
 OK = "ok"
 VIOLATED = "violated"
 VACUOUS = "vacuous"  # C<t> has no normal form at this level: nothing to check
+INAPPLICABLE = "inapplicable"  # t is meaningful: the theorem's hypothesis fails
 UNKNOWN = "unknown"
+
+# the oracle fuel of the axiom campaigns and of their replays, which
+# must agree for a recorded violation to occur again
+AXIOM_FUEL = 400
 
 DEFAULT_PROBES = ["x", "\\z.z", "\\w.w w", "\\x.(\\w.w w)(\\w.w w)", "y z"]
 
@@ -66,7 +71,7 @@ def stratified_genericity_check(
         return GenericityReport(UNKNOWN, level, "cannot decide meaninglessness of t")
     if status != MEANINGLESS:
         return GenericityReport(
-            VIOLATED, level, "t is meaningful: genericity does not apply"
+            INAPPLICABLE, level, "t is meaningful: genericity does not apply"
         )
 
     ct = plug(ctx, t)
@@ -147,8 +152,7 @@ class AxiomReport:
         return not self.violations
 
 
-def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
-                fuel: int = 400, max_size: int = 8) -> AxiomReport:
+def axiom_suite(calculus: str, n: int = 5000, seed: int = 0) -> AxiomReport:
     """Randomized checks of the four assumptions:
 
       1. every decided step is either collapsed or mapped by the
@@ -160,7 +164,7 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
          to the level.
     """
     rng = random.Random(seed)
-    oracle = Oracle(calculus, fuel)
+    oracle = Oracle(calculus, AXIOM_FUEL)
     checked = {"steps": 0, "lifts": 0, "approximants": 0, "refinements": 0}
     violations: list[dict] = []
     levels = [0.0, 1.0, 2.0, float("inf")]
@@ -172,7 +176,7 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
         return t
 
     while sum(checked.values()) < n:
-        t = random_term(rng, rng.randint(2, max_size))
+        t = random_term(rng, rng.randint(2, 8))
         k = rng.choice(levels)
         redexes = find_redexes(t, calculus, k)
         if redexes:
@@ -219,14 +223,15 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0,
     return AxiomReport(calculus, checked, violations)
 
 
-def reproduce_violation(v: dict, fuel: int = 400) -> bool:
+def reproduce_violation(v: dict) -> bool:
     """Replay a violation certificate from axiom_suite; True when the
     recorded failure still occurs."""
     calculus = v["calculus"]
     kind = v["kind"]
     if kind == "approximate":
         try:
-            approximate_step(step_from_dict(v["step"], calculus), Oracle(calculus, fuel))
+            approximate_step(step_from_dict(v["step"], calculus),
+                             Oracle(calculus, AXIOM_FUEL))
         except AssertionError:
             return True
         return False
@@ -237,7 +242,7 @@ def reproduce_violation(v: dict, fuel: int = 400) -> bool:
             return True
         return False
     if kind == "bno":
-        a_hat = meaningful_approximant(parse(v["term"]), Oracle(calculus, fuel))
+        a_hat = meaningful_approximant(parse(v["term"]), Oracle(calculus, AXIOM_FUEL))
         return isinstance(a_hat, Undetermined) or not is_bno(a_hat, calculus, v["level"])
     if kind == "refinement":
         a_hat, refined = parse(v["term"]), parse(v["refined"])

@@ -29,6 +29,10 @@ EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 UNKNOWN = "unknown"
 
+# the oracle fuel of each plugged term in the search for a separating
+# context
+CONTEXT_FUEL = 200
+
 
 @dataclass
 class Certificate:
@@ -70,12 +74,11 @@ def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
 
 
 def falsify_observational(
-    t: Term, u: Term, calculus: str,
-    max_context_size: int = 5, fuel: int = 200,
+    t: Term, u: Term, calculus: str, max_context_size: int = 5,
 ) -> Term | None:
     """Search small contexts for one whose pluggings differ in
     meaningfulness; a witness refutes observational equivalence."""
-    oracle = Oracle(calculus, fuel)
+    oracle = Oracle(calculus, CONTEXT_FUEL)
     for ctx in enumerate_contexts(max_context_size):
         (hole,) = hole_positions(ctx)
         mt = oracle.status(replace_at(ctx, hole, t))
@@ -87,7 +90,7 @@ def falsify_observational(
 
 def judge(
     t: Term, u: Term, calculus: str, fuel: int | None = None,
-    max_context_size: int = 5, context_fuel: int = 200,
+    max_context_size: int = 5,
 ) -> Judgment:
     verdicts = {th: Verdict(th, UNKNOWN) for th in THEORIES}
     oracle = Oracle(calculus, fuel)
@@ -118,7 +121,7 @@ def judge(
         )
         verdicts[LAMBDA] = Verdict(LAMBDA, NOT_EQUAL, cert)
         verdicts[H] = Verdict(H, NOT_EQUAL, cert)
-        witness = falsify_observational(t, u, calculus, max_context_size, context_fuel)
+        witness = falsify_observational(t, u, calculus, max_context_size)
         if witness is not None:
             verdicts[HSTAR] = Verdict(
                 HSTAR, NOT_EQUAL, Certificate("context-witness", {"context": witness})
@@ -131,7 +134,7 @@ def judge(
         verdicts[H] = Verdict(H, NOT_EQUAL, cert)
         return Judgment(t, u, calculus, verdicts)
 
-    witness = falsify_observational(t, u, calculus, max_context_size, context_fuel)
+    witness = falsify_observational(t, u, calculus, max_context_size)
     if witness is not None:
         cert = Certificate("context-witness", {"context": witness})
         verdicts[HSTAR] = Verdict(HSTAR, NOT_EQUAL, cert)

@@ -13,7 +13,6 @@ from strata import (
     CBN,
     CBV,
     LAMBDA,
-    Annotations,
     Collapsed,
     Mapped,
     Oracle,
@@ -87,13 +86,6 @@ class TestOracle:
         assert oracle.meaning(parse(r"x (\w.z)")) is report
         assert len(walks) == 1
 
-    def test_annotation_decides_a_growing_term(self, tmp_path):
-        f = tmp_path / "meaningless.txt"
-        f.write_text(f"# asserted divergent terms\n{GROWER}\n")
-        oracle = Oracle(CBV, 40, Annotations.load(str(f)))
-        report = oracle.meaning(parse(r"(\y.y y y) (\y.y y y)"))
-        assert report.status == MEANINGLESS and report.asserted
-
 
 def _refuse_canonical(monkeypatch):
     """Make canonical raise under every strata module name that holds it."""
@@ -112,8 +104,7 @@ def _refuse_canonical(monkeypatch):
 def test_no_program_path_builds_a_canonical_key(monkeypatch):
     _refuse_canonical(monkeypatch)
     assert normalize(parse(OMEGA_LOOP), CBV, 0.0, 20).outcome == "cycle"
-    oracle = Oracle(CBV, 40, Annotations([parse(GROWER)]))
-    assert oracle.meaning(parse(r"(\y.y y y) (\y.y y y)")).asserted
+    oracle = Oracle(CBV, 40)
     assert alpha_eq(meaningful_approximant(parse(rf"x (\y.{OMEGA_LOOP})"), oracle),
                     parse(r"x (\y.bot)"))
     report = stratified_genericity_check(
@@ -161,13 +152,6 @@ class TestAlphaTable:
     def test_names_alone_tell_the_first_three_pairs_apart(self):
         for left, right in (("x", "y"), ("x y", "y x"), (r"\a.\b.a", r"\a.\b.b")):
             _one_row(parse(left), parse(right))
-
-    def test_an_alpha_variant_of_an_annotated_term_is_asserted(self):
-        oracle = Oracle(CBV, 40, Annotations([parse(GROWER)]))
-        report = oracle.meaning(parse(r"(\y.y y y) (\y.y y y)"))
-        assert report.status == MEANINGLESS and report.asserted
-        assert not oracle.meaning(parse(r"(\y.y y x) (\y.y y y)")).asserted
-        assert oracle.meaning(parse(OMEGA_LOOP)).witness.outcome == "cycle"
 
 
 # plugged into every context of enumerate_contexts(4), whose free names
@@ -338,18 +322,6 @@ class TestApproximantTable:
                 # it was answers for it: no term is normalized twice
                 assert len(normalized) == len({canonical(u) for u in normalized}), (c, text)
                 normalized.clear()
-
-    def test_an_asserted_loop_is_still_normalized(self, monkeypatch):
-        normalized = []
-        normalize = strata.approx.normalize
-        monkeypatch.setattr(strata.approx, "normalize",
-                            lambda t, *a: normalized.append(t) or normalize(t, *a))
-        t = parse(GROWER)
-        oracle = Oracle(CBV, 40, Annotations([t]))
-        # the assertion carries no trace: pruning left the node as it
-        # was, and only normalizing it can tell whether it stays stuck
-        assert meaningful_approximant(t, oracle) == Undetermined(())
-        assert [u for u in normalized if u is t] == [t]
 
 
 class TestApproximateStep:

@@ -3,11 +3,14 @@ anything else must not change the observable outcome, and the
 randomized campaigns backing that claim must produce replayable
 certificates when they fail."""
 
+from collections import Counter
+
 import pytest
 
 from strata import (
     CBN,
     CBV,
+    DEFAULT_PROBES,
     OMEGA,
     Oracle,
     alpha_eq,
@@ -18,6 +21,7 @@ from strata import (
     show,
     stratified_genericity_check,
 )
+from strata.corpus import enumerate_contexts
 from strata.reduce import step_to_dict
 
 from conftest import ID, OMEGA_LOOP, p
@@ -55,7 +59,7 @@ class TestPipeline:
         r = stratified_genericity_check(
             p(ID), parse_context(rf"(\y.{ID}) (\z.@)"), p("x"), CBV, 0.0,
             cbv_oracle)
-        assert r.status == "violated"
+        assert r.status == "inapplicable"
         assert "meaningful" in r.detail
 
     def test_undecidable_seed_is_unknown(self):
@@ -109,3 +113,56 @@ class TestCertificateReplay:
         bno_cert = {"kind": "bno", "calculus": CBN, "level": 0.0,
                     "term": show(p(r"x (\y.y)"))}
         assert reproduce_violation(bno_cert) is False
+
+
+# The genericity theorem as an exhaustive gate: every small context,
+# three fillers, three observation levels and the default probes.  The
+# fillers are Omega, which is meaningless in both calculi, a guarded
+# Omega, meaningless by name only, and an applied Omega, meaningless by
+# value only: where a filler is meaningful the theorem does not apply.
+GATE_FILLERS = (OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})")
+GATE_LEVELS = (0.0, 1.0, OMEGA)
+GATE_FUEL = 60
+
+
+def _gate_tallies(calculus, max_context_size):
+    contexts = list(enumerate_contexts(max_context_size))
+    probes = [p(u) for u in DEFAULT_PROBES]
+    tallies = {}
+    for filler in GATE_FILLERS:
+        oracle = Oracle(calculus, GATE_FUEL)
+        tally = Counter()
+        for ctx in contexts:
+            for level in GATE_LEVELS:
+                for u in probes:
+                    r = stratified_genericity_check(
+                        p(filler), ctx, u, calculus, level, oracle, GATE_FUEL)
+                    assert r.status != "violated", (show(ctx, rename=False), show(u),
+                                                    level, r.detail)
+                    tally[r.status] += 1
+        tallies[filler] = dict(tally)
+    return tallies
+
+
+OMEGA_BY_VALUE = {"ok": 735, "vacuous": 3390}
+OMEGA_BY_NAME = {"ok": 1580, "vacuous": 2545}
+ALL_INAPPLICABLE = {"inapplicable": 4125}
+
+
+@pytest.mark.parametrize("calculus, expected", [
+    (CBV, [OMEGA_BY_VALUE, ALL_INAPPLICABLE, OMEGA_BY_VALUE]),
+    (CBN, [OMEGA_BY_NAME, OMEGA_BY_NAME, ALL_INAPPLICABLE]),
+])
+def test_genericity_holds_in_every_context_of_size_5(calculus, expected):
+    assert _gate_tallies(calculus, 5) == dict(zip(GATE_FILLERS, expected))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus, expected", [
+    (CBV, [{"ok": 5215, "vacuous": 17075}, {"inapplicable": 22290},
+           {"ok": 5215, "vacuous": 17075}]),
+    (CBN, [{"ok": 9725, "vacuous": 12565}, {"ok": 9725, "vacuous": 12565},
+           {"inapplicable": 22290}]),
+])
+def test_genericity_holds_in_every_context_of_size_6(calculus, expected):
+    assert _gate_tallies(calculus, 6) == dict(zip(GATE_FILLERS, expected))
