@@ -1,11 +1,11 @@
 """Normal-form grammars and stratified equality.
 
-Normal forms at level k admit a grammar characterization.  For
-call-by-value the grammar is mutual, with three sorts: terms that
-unwrap to a variable (vr), neutral terms (ne), and arbitrary normal
-forms (no); a binder lowers the level of its body.  For call-by-name
-there are two sorts (ne and no) and it is the argument side of an
-application or substitution that drops a level.
+Normal forms at level k admit a grammar characterization by sorts.
+Call-by-value has three: terms that unwrap to a variable (vr),
+neutral terms (ne), and arbitrary normal forms (no); a binder lowers
+the level of its body.  Call-by-name has two (ne and no), and it is
+the argument of an application that drops a level.  classify_nf finds
+the most specific sort of a term in one walk.
 
 Stratified equality compares terms only up to depth k of the same
 stratification: at level omega it coincides with alpha-equality, and
@@ -22,7 +22,6 @@ from .terms import (
     App,
     Es,
     Level,
-    OMEGA,
     Term,
     Var,
     agree,
@@ -37,85 +36,51 @@ NO = "no"
 NOT_NF = "not-nf"
 
 
-def _dec(k: Level) -> Level:
-    return k if k == OMEGA else k - 1
-
-
-def _cbv_vr(t: Term, k: Level) -> bool:
+def _cbv_sort(t: Term, k: Level) -> str:
     match t:
         case Var(_):
-            return True
-        case Es(b, _, a):
-            return _cbv_vr(b, k) and _cbv_ne(a, k)
-        case _:
-            return False
-
-
-def _cbv_ne(t: Term, k: Level) -> bool:
-    match t:
-        case App(f, a):
-            return (_cbv_vr(f, k) or _cbv_ne(f, k)) and _cbv_no(a, k)
-        case Es(b, _, a):
-            return _cbv_ne(b, k) and _cbv_ne(a, k)
-        case _:
-            return False
-
-
-def _cbv_no(t: Term, k: Level) -> bool:
-    match t:
+            return VR
         case Abs(_, b):
-            return True if k == 0 else _cbv_no(b, _dec(k))
-        case Var(_):
-            return True
-        case App(_, _):
-            return _cbv_ne(t, k)
-        case Es(b, _, a):
-            return _cbv_no(b, k) and _cbv_ne(a, k)
-        case _:
-            return False
-
-
-def _cbn_ne(t: Term, k: Level) -> bool:
-    match t:
-        case Var(_):
-            return True
+            if k == 0 or _cbv_sort(b, k - 1) != NOT_NF:
+                return NO
         case App(f, a):
-            if not _cbn_ne(f, k):
-                return False
-            return True if k == 0 else _cbn_no(a, _dec(k))
-        case _:
-            return False
+            if _cbv_sort(f, k) in (VR, NE) and _cbv_sort(a, k) != NOT_NF:
+                return NE
+        case Es(b, _, a):
+            # a closure keeps its body's sort while its argument is neutral
+            if _cbv_sort(a, k) == NE:
+                return _cbv_sort(b, k)
+    return NOT_NF
 
 
-def _cbn_no(t: Term, k: Level) -> bool:
+def _cbn_sort(t: Term, k: Level) -> str:
     match t:
+        case Var(_):
+            return NE
+        case App(f, a):
+            if _cbn_sort(f, k) == NE and (k == 0 or _cbn_sort(a, k - 1) != NOT_NF):
+                return NE
         case Abs(_, b):
-            return _cbn_no(b, k)
-        case _:
-            return _cbn_ne(t, k)
+            if _cbn_sort(b, k) != NOT_NF:
+                return NO
+    return NOT_NF
+
+
+_SORT = {CBV: _cbv_sort, CBN: _cbn_sort}
 
 
 def classify_nf(t: Term, calculus: str, k: Level) -> str:
-    """Grammar sort of t among the level-k normal forms, or "not-nf".
+    """The most specific grammar sort of t among the level-k normal
+    forms, or "not-nf".
 
     Call-by-value distinguishes vr (a variable under substitutions),
     ne (neutral) and no (any normal form); call-by-name has ne and no.
+    Every vr and every ne is also a no.
     """
-    if calculus == CBV:
-        if _cbv_vr(t, k):
-            return VR
-        if _cbv_ne(t, k):
-            return NE
-        if _cbv_no(t, k):
-            return NO
-        return NOT_NF
-    if calculus == CBN:
-        if _cbn_ne(t, k):
-            return NE
-        if _cbn_no(t, k):
-            return NO
-        return NOT_NF
-    raise ValueError(f"unknown calculus {calculus!r}")
+    sort = _SORT.get(calculus)
+    if sort is None:
+        raise ValueError(f"unknown calculus {calculus!r}")
+    return sort(t, k)
 
 
 def is_normal(t: Term, calculus: str, k: Level) -> bool:

@@ -20,6 +20,7 @@ capture free variables of the plugged term, which is deliberate.
 from __future__ import annotations
 
 import itertools
+import re
 import string
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -463,8 +464,19 @@ def plug(ctx: Term, t: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_CHARS = set(string.ascii_letters + string.digits + "_'")
+# One scanner serves the term and the type syntaxes: a token is a run of
+# name characters, the arrow, or any other non-space character alone.
+_TOKEN = re.compile(r"[A-Za-z0-9_']+|->|\S")
+NAME_CHARS = frozenset(string.ascii_letters + string.digits + "_'")
+_IDENT_START = frozenset(string.ascii_letters + "_")
+
+
+def tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of text with their offsets, closed by an empty token
+    at the end of the text."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("", len(text)))
+    return tokens
 
 
 class ParseError(ValueError):
@@ -475,43 +487,33 @@ class ParseError(ValueError):
 
 class _Parser:
     def __init__(self, text: str, allow_hole: bool):
-        self.text = text
-        self.pos = 0
+        self.tokens = tokenize(text)
+        self.i = 0
         self.allow_hole = allow_hole
 
     def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        return ParseError(msg, self.tokens[self.i][1])
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][0]
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise self.error(f"expected {tok!r}")
+        self.i += 1
 
     def ident(self) -> str:
-        self.skip_ws()
-        if self.peek() not in _IDENT_START:
+        name = self.peek()
+        if name[:1] not in _IDENT_START:
             raise self.error("expected identifier")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-            self.pos += 1
-        name = self.text[start : self.pos]
         if name == "bot":
-            self.pos = start
             raise self.error("'bot' is a reserved word")
+        self.i += 1
         return name
 
     def term(self) -> Term:
-        self.skip_ws()
         if self.peek() == "\\":
-            self.pos += 1
+            self.i += 1
             x = self.ident()
             self.expect(".")
             return Abs(x, self.term())
@@ -520,58 +522,48 @@ class _Parser:
     def app(self) -> Term:
         t = self.postfix()
         while True:
-            self.skip_ws()
             c = self.peek()
             if c == "\\":
                 # an abstraction in argument position extends to the right
-                t = App(t, self.term())
-                return t
-            if c in _IDENT_START or c == "(" or (c == "@" and self.allow_hole):
+                return App(t, self.term())
+            if c[:1] in _IDENT_START or c == "(" or (c == "@" and self.allow_hole):
                 t = App(t, self.postfix())
             else:
                 return t
 
     def postfix(self) -> Term:
         t = self.atom()
-        while True:
-            self.skip_ws()
-            if self.peek() == "[":
-                self.pos += 1
-                x = self.ident()
-                self.expect("\\")
-                body = self.term()
-                self.expect("]")
-                t = Es(t, x, body)
-            else:
-                return t
+        while self.peek() == "[":
+            self.i += 1
+            x = self.ident()
+            self.expect("\\")
+            body = self.term()
+            self.expect("]")
+            t = Es(t, x, body)
+        return t
 
     def atom(self) -> Term:
-        self.skip_ws()
         c = self.peek()
         if c == "(":
-            self.pos += 1
+            self.i += 1
             t = self.term()
             self.expect(")")
             return t
         if c == "@":
             if not self.allow_hole:
                 raise self.error("hole not allowed here")
-            self.pos += 1
+            self.i += 1
             return HOLE
-        if c in _IDENT_START:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-                self.pos += 1
-            name = self.text[start : self.pos]
-            return BOT if name == "bot" else Var(name)
+        if c[:1] in _IDENT_START:
+            self.i += 1
+            return BOT if c == "bot" else Var(c)
         raise self.error("expected a term")
 
 
 def parse(text: str, allow_hole: bool = False) -> Term:
     p = _Parser(text, allow_hole)
     t = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
+    if p.peek():
         raise p.error("trailing input")
     return t
 

@@ -29,8 +29,9 @@ EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 UNKNOWN = "unknown"
 
-# the oracle fuel of each plugged term in the search for a separating
-# context
+# the search for a separating context: the largest context tried, and
+# the oracle fuel of each plugged term
+CONTEXT_SIZE = 5
 CONTEXT_FUEL = 200
 
 
@@ -73,13 +74,11 @@ def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
     return next((r for r in tr_u.terms if seen.get(r)), None)
 
 
-def falsify_observational(
-    t: Term, u: Term, calculus: str, max_context_size: int = 5,
-) -> Term | None:
+def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
     """Search small contexts for one whose pluggings differ in
     meaningfulness; a witness refutes observational equivalence."""
     oracle = Oracle(calculus, CONTEXT_FUEL)
-    for ctx in enumerate_contexts(max_context_size):
+    for ctx in enumerate_contexts(CONTEXT_SIZE):
         (hole,) = hole_positions(ctx)
         mt = oracle.status(replace_at(ctx, hole, t))
         mu = oracle.status(replace_at(ctx, hole, u))
@@ -88,10 +87,7 @@ def falsify_observational(
     return None
 
 
-def judge(
-    t: Term, u: Term, calculus: str, fuel: int | None = None,
-    max_context_size: int = 5,
-) -> Judgment:
+def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
     verdicts = {th: Verdict(th, UNKNOWN) for th in THEORIES}
     oracle = Oracle(calculus, fuel)
 
@@ -121,7 +117,7 @@ def judge(
         )
         verdicts[LAMBDA] = Verdict(LAMBDA, NOT_EQUAL, cert)
         verdicts[H] = Verdict(H, NOT_EQUAL, cert)
-        witness = falsify_observational(t, u, calculus, max_context_size)
+        witness = falsify_observational(t, u, calculus)
         if witness is not None:
             verdicts[HSTAR] = Verdict(
                 HSTAR, NOT_EQUAL, Certificate("context-witness", {"context": witness})
@@ -134,7 +130,7 @@ def judge(
         verdicts[H] = Verdict(H, NOT_EQUAL, cert)
         return Judgment(t, u, calculus, verdicts)
 
-    witness = falsify_observational(t, u, calculus, max_context_size)
+    witness = falsify_observational(t, u, calculus)
     if witness is not None:
         cert = Certificate("context-witness", {"context": witness})
         verdicts[HSTAR] = Verdict(HSTAR, NOT_EQUAL, cert)

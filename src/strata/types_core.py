@@ -15,11 +15,10 @@ variable absent from the environment carries the empty multiset.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import Term, parse, show
+from .terms import NAME_CHARS, Term, parse, show, tokenize
 
 SYS_V = "V"
 SYS_N = "N"
@@ -36,9 +35,6 @@ class Mult:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(sorted(self.items, key=ty_key)))
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -190,64 +186,52 @@ class TyParseError(ValueError):
 
 
 def parse_ty(text: str) -> Ty:
-    pos = 0
+    tokens = tokenize(text)
+    i = 0
 
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+    def error(msg: str) -> TyParseError:
+        return TyParseError(f"{msg} at offset {tokens[i][1]}")
 
     def atom() -> Ty:
-        nonlocal pos
-        skip()
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
+        nonlocal i
+        tok = tokens[i][0]
+        if tok == "[":
+            i += 1
             items = []
-            skip()
-            if pos < len(text) and text[pos] == "]":
-                pos += 1
-            else:
-                while True:
+            if tokens[i][0] != "]":
+                items.append(ty())
+                while tokens[i][0] == ",":
+                    i += 1
                     items.append(ty())
-                    skip()
-                    if pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        continue
-                    if pos < len(text) and text[pos] == "]":
-                        pos += 1
-                        break
-                    raise TyParseError(f"expected ',' or ']' at offset {pos}")
+                if tokens[i][0] != "]":
+                    raise error("expected ',' or ']'")
+            i += 1
             return Mult(tuple(items))
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
+        if tok == "(":
+            i += 1
             t = ty()
-            skip()
-            if pos >= len(text) or text[pos] != ")":
-                raise TyParseError(f"expected ')' at offset {pos}")
-            pos += 1
+            if tokens[i][0] != ")":
+                raise error("expected ')'")
+            i += 1
             return t
-        start = pos
-        while pos < len(text) and (text[pos] in string.ascii_letters + string.digits + "_'"):
-            pos += 1
-        if pos == start:
-            raise TyParseError(f"expected a type at offset {pos}")
-        return TyVar(text[start:pos])
+        if tok[:1] not in NAME_CHARS:
+            raise error("expected a type")
+        i += 1
+        return TyVar(tok)
 
     def ty() -> Ty:
-        nonlocal pos
+        nonlocal i
         left = atom()
-        skip()
-        if text[pos : pos + 2] == "->":
-            pos += 2
+        if tokens[i][0] == "->":
+            i += 1
             if not isinstance(left, Mult):
                 raise TyParseError("arrow source must be a multiset")
             return Arrow(left, ty())
         return left
 
     t = ty()
-    skip()
-    if pos != len(text):
-        raise TyParseError(f"trailing input at offset {pos}")
+    if tokens[i][0]:
+        raise error("trailing input")
     return t
 
 

@@ -271,6 +271,17 @@ class TestGenericityAndJudge:
                            "--context", rf"(\y.{ID}) (\z.@)")
         assert code == 3 and out.count(": inapplicable") == 5 and "violated" not in out
 
+    def test_genericity_all_vacuous_exits_0(self, capsys):
+        # C<t> has no normal form at level 0: the theorem holds trivially
+        code, out, _ = run(capsys, "genericity", OMEGA_LOOP,
+                           "--context", rf"(\y.{ID}) @", "--level", "0")
+        assert code == 0 and out.count(": vacuous") == 5
+
+    def test_genericity_unknown_exits_2(self, capsys):
+        code, out, _ = run(capsys, "genericity", r"(\x.x x x) (\x.x x x)",
+                           "--context", "@", "--fuel", "10")
+        assert code == 2 and out.count(": unknown") == 5
+
     def test_judge_prints_all_three_theories(self, capsys):
         code, out, _ = run(capsys, "judge", OMEGA_LOOP, rf"(x x)[x\{DELTA}]")
         assert code == 0
@@ -281,6 +292,11 @@ class TestGenericityAndJudge:
         args = ("judge", ID, r"\x.\y.x y")
         assert run(capsys, *args, "--theory", "mute")[0] == 1
         assert run(capsys, *args, "--theory", "observational")[0] == 2
+
+    def test_judge_has_no_context_size_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["judge", "x", "y", "--context-size", "4"])
+        assert exc.value.code == 3
 
 
 class TestAxioms:

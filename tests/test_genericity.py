@@ -21,6 +21,7 @@ from strata import (
     show,
     stratified_genericity_check,
 )
+from strata import genericity
 from strata.corpus import enumerate_contexts
 from strata.reduce import step_to_dict
 
@@ -85,6 +86,23 @@ class TestAxiomCampaign:
         assert report.ok, report.violations
         assert report.calculus == calculus
         assert all(count > 0 for count in report.checked.values())
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_refinements_meet_bots(self, calculus, monkeypatch):
+        # assumptions 2 and 4 say something only where a refinement has
+        # a bot to fill: count the refinements that meet one
+        met = []
+        bot_positions = genericity.bot_positions
+
+        def counting(t):
+            positions = bot_positions(t)
+            met.append(bool(positions))
+            return positions
+
+        monkeypatch.setattr(genericity, "bot_positions", counting)
+        report = axiom_suite(calculus, n=800, seed=0)
+        assert report.ok, report.violations
+        assert sum(met) >= 10, (sum(met), len(met))
 
     def test_seeded_campaigns_are_reproducible(self):
         a = axiom_suite(CBV, n=100, seed=3)

@@ -1,6 +1,7 @@
 """Normal-form grammars, bottom-free observations, and stratified
 equality."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -60,6 +61,20 @@ def test_grammar_agrees_with_redex_search_small(calculus, k):
         grammar_normal = classify_nf(t, calculus, k) != NOT_NF
         assert grammar_normal == (find_redexes(t, calculus, k) == []), t
         assert is_normal(t, calculus, k) == grammar_normal
+
+
+# SHA-256 over the sorts of every term of size <= 6, in both calculi at
+# levels 0, 1, 2 and omega: pinned
+SORTS_PIN = "70cdf09e82790825e8265a79de7cd364862420548ea7a500d40e8e059a47b886"
+
+
+def test_sorts_are_pinned():
+    digest = hashlib.sha256()
+    for t in enumerate_terms(6):
+        for calculus in (CBV, CBN):
+            for k in (0.0, 1.0, 2.0, OMEGA):
+                digest.update(classify_nf(t, calculus, k).encode() + b"\n")
+    assert digest.hexdigest() == SORTS_PIN
 
 
 class TestBottomFreeObservation:

@@ -37,11 +37,37 @@ from strata.terms import (
     replace_at,
     subterm_at,
     subterms,
+    tokenize,
 )
 
 from strata.corpus import enumerate_contexts, random_term
 
 from conftest import ID, OMEGA_LOOP
+
+# the message, offset included, of each rejection: pinned
+PARSE_ERRORS = [
+    ('', 'expected a term (at offset 0)'),
+    ('\\x.', 'expected a term (at offset 3)'),
+    ('  \\x  y', "expected '.' (at offset 6)"),
+    ('\\.x', 'expected identifier (at offset 1)'),
+    ('\\0.x', 'expected identifier (at offset 1)'),
+    ('x)', 'trailing input (at offset 1)'),
+    ('(x', "expected ')' (at offset 2)"),
+    ('x[y\\z', "expected ']' (at offset 5)"),
+    ('x[y z]', "expected '\\\\' (at offset 4)"),
+    ('x[\\z]', 'expected identifier (at offset 2)'),
+    ('\\bot.x', "'bot' is a reserved word (at offset 1)"),
+    ('x[bot\\y]', "'bot' is a reserved word (at offset 2)"),
+    ('x @', 'trailing input (at offset 2)'),
+    ('(@)', 'hole not allowed here (at offset 1)'),
+    ('-> x', 'expected a term (at offset 0)'),
+    ('x -> y', 'trailing input (at offset 2)'),
+    ('x\xa0é', 'trailing input (at offset 2)'),
+    ('x [y\\z]  (', 'expected a term (at offset 10)'),
+    ('()', 'expected a term (at offset 1)'),
+    ('\\x.x[y\\', 'expected a term (at offset 7)'),
+    ('f (\\x.x) -', 'trailing input (at offset 9)'),
+]
 
 
 class TestParsePrint:
@@ -80,6 +106,18 @@ class TestParsePrint:
     def test_rejects_malformed_input(self, bad):
         with pytest.raises(ParseError):
             parse(bad)
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS)
+    def test_error_messages_and_offsets(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+        assert str(exc.value.offset) in message
+
+    def test_tokens_carry_their_offsets(self):
+        assert tokenize("\\f1'.[a]->x\u00a0-é") == [
+            ("\\", 0), ("f1'", 1), (".", 4), ("[", 5), ("a", 6), ("]", 7),
+            ("->", 8), ("x", 10), ("-", 12), ("é", 13), ("", 14)]
 
     def test_printer_renames_binders_canonically(self):
         t = parse(r"\a.\b.a (\c.c b)")

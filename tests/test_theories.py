@@ -13,9 +13,12 @@ from strata import (
     THEORIES,
     falsify_observational,
     judge,
+    parse_context,
     plug,
     reverify,
+    show,
 )
+from strata.theories import Certificate, Judgment, Verdict
 
 from conftest import DELTA, ID, OMEGA_LOOP, p
 
@@ -79,9 +82,27 @@ class TestContextSearch:
                     oracle.status(plug(ctx, p(OMEGA_LOOP)))}
         assert statuses == {"meaningful", "meaningless"}
 
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_distinct_normal_forms_with_a_separating_context(self, calculus):
+        j = judge(p(r"\x.x x"), p(r"\x.x"), calculus)
+        assert j[LAMBDA].certificate.kind == "distinct-normal-forms"
+        assert j[H].certificate.kind == "distinct-normal-forms"
+        assert (j[HSTAR].result, j[HSTAR].certificate.kind) == ("not-equal", "context-witness")
+        assert show(j[HSTAR].certificate.data["context"], rename=False) == r"(b0 b0)[b0\@]"
+        assert reverify(j)
+
+    def test_a_context_separates_where_nothing_else_decides(self):
+        # by value, both abstractions are meaningful and \z.Ω has no
+        # normal form at omega: only a context tells them apart
+        j = judge(p(rf"\z.{OMEGA_LOOP}"), p(r"\z.z"), CBV)
+        assert j[LAMBDA].result == "unknown"
+        for th in (H, HSTAR):
+            assert (j[th].result, j[th].certificate.kind) == ("not-equal", "context-witness")
+        assert show(j[HSTAR].certificate.data["context"], rename=False) == "@ x"
+        assert reverify(j)
+
     def test_no_witness_for_identical_terms(self):
-        assert falsify_observational(p(ID), p(ID), CBV,
-                                     max_context_size=4) is None
+        assert falsify_observational(p(ID), p(ID), CBV) is None
 
 
 class TestCertificates:
@@ -94,3 +115,25 @@ class TestCertificates:
                 cert = j[th].certificate
                 if cert is not None:
                     assert isinstance(cert.describe(), str) and cert.describe()
+
+
+# Each certificate on a pair it does not hold for: the judgment that
+# reverify receives carries that one certificate.
+TAMPERED = [
+    ("common-reduct", ID, r"\x.\y.x", {}),
+    ("both-meaningless", ID, OMEGA_LOOP, {}),
+    ("both-meaningless", OMEGA_LOOP, ID, {}),
+    ("distinct-normal-forms", ID, OMEGA_LOOP, {}),
+    ("distinct-normal-forms", ID, r"\y.y", {}),
+    ("meaningfulness-separation", ID, r"\y.y", {}),
+    ("context-witness", ID, r"\x.\y.x y", {"context": parse_context("@")}),
+    ("no-such-kind", ID, ID, {}),
+]
+
+
+@pytest.mark.parametrize("kind,left,right,data", TAMPERED,
+                         ids=[f"{k}-{i}" for i, (k, *_) in enumerate(TAMPERED)])
+def test_reverify_rejects_a_certificate_that_does_not_hold(kind, left, right, data):
+    j = Judgment(p(left), p(right), CBV,
+                 {HSTAR: Verdict(HSTAR, "not-equal", Certificate(kind, data))})
+    assert not reverify(j)

@@ -40,6 +40,7 @@ from strata.types_core import (
     Arrow,
     Derivation,
     Mult,
+    TyParseError,
     TyVar,
     deriv_from_dict,
     deriv_to_dict,
@@ -50,12 +51,46 @@ from strata.types_core import (
 
 from conftest import ID, OMEGA_LOOP
 
+# the message of each rejection of parse_ty: pinned
+TY_ERRORS = [
+    ('', 'expected a type at offset 0'),
+    ('   ', 'expected a type at offset 3'),
+    ('[a', "expected ',' or ']' at offset 2"),
+    ('[a b]', "expected ',' or ']' at offset 3"),
+    ('[a,', 'expected a type at offset 3'),
+    ('(a', "expected ')' at offset 2"),
+    ('(a b', "expected ')' at offset 3"),
+    ('([a] -> b', "expected ')' at offset 9"),
+    ('a b', 'trailing input at offset 2'),
+    ('a -> b', 'arrow source must be a multiset'),
+    ('[a] -> ', 'expected a type at offset 7'),
+    ('->', 'expected a type at offset 0'),
+    ('[a] --> b', 'trailing input at offset 4'),
+    ('[]]', 'trailing input at offset 2'),
+    ('[,]', 'expected a type at offset 1'),
+    ('(', 'expected a type at offset 1'),
+    (')', 'expected a type at offset 0'),
+    ('[a] ->> b', 'expected a type at offset 6'),
+    ('a,b', 'trailing input at offset 1'),
+    ('é', 'expected a type at offset 0'),
+    ('[a] -> b c', 'trailing input at offset 9'),
+]
+
 
 class TestTypeSyntax:
     @pytest.mark.parametrize("text", ["a", "[]", "[a]", "[a,a]", "[[] -> a]",
                                       "[[a] -> [b] -> c]"])
     def test_round_trip(self, text):
         assert parse_ty(show_ty(parse_ty(text))) == parse_ty(text)
+
+    @pytest.mark.parametrize("text,message", TY_ERRORS)
+    def test_error_messages(self, text, message):
+        with pytest.raises(TyParseError) as exc:
+            parse_ty(text)
+        assert str(exc.value) == message
+
+    def test_names_may_start_with_any_name_character(self):
+        assert parse_ty("['x, 0_] -> (a)") == Arrow(m(TyVar("'x"), TyVar("0_")), TyVar("a"))
 
     def test_multisets_are_canonically_ordered(self):
         assert parse_ty("[a,b]") == parse_ty("[b,a]")
@@ -107,6 +142,107 @@ class TestChecker:
     def test_accepts_synthesized_by_name(self, text):
         d = synth_nf_derivation(parse(text), CBN)
         assert check_derivation(d, SYS_N) == []
+
+
+# Hand-corrupted derivations, one per rejection of check_derivation, each
+# in the system whose rule it breaks.  A var node gets the environment
+# its rule asks for unless one is given.
+A, B = TyVar("a"), TyVar("b")
+XY, X_Y = parse("x y"), parse(r"x[x\y]")
+
+
+def m(*items):
+    return Mult(items)
+
+
+def var(name, ty, system, env=None, premises=()):
+    if env is None:
+        own = ty if system == SYS_V else m(ty)
+        env = {name: own}
+    return mk("var", env, Var(name), ty, premises)
+
+
+def v_app(head, arg, env, ty=A):
+    return mk("app", env, XY, ty, (head, arg))
+
+
+def n_app(head, args, env, ty=A):
+    return mk("app", env, XY, ty, (head, *args))
+
+
+V_HEAD = var("x", m(Arrow(EMPTY, A)), SYS_V)  # x : [[] -> a]
+N_HEAD = var("x", Arrow(m(B), A), SYS_N)  # x : [b] -> a
+N_ARG = var("y", B, SYS_N)
+N_ID = parse(r"\x.x")
+
+REJECTIONS = [
+    # shared by both systems
+    (SYS_V, var("x", m(A), SYS_V, premises=(var("x", m(A), SYS_V),)),
+     "root: var takes no premises"),
+    (SYS_V, var("x", m(A), SYS_V, env={}),
+     "root: var environment must carry exactly its own demand"),
+    (SYS_V, mk("abs", {"y": m(A)}, N_ID, m(Arrow(EMPTY, m(A))), (var("y", m(A), SYS_V),)),
+     "root: premise 0 does not type the body"),
+    (SYS_N, mk("abs", {}, Var("x"), Arrow(m(A), A)), "root: rule abs does not match the term shape"),
+    (SYS_V, mk("app", {}, XY, A), "root: missing premises"),
+    (SYS_V, v_app(var("z", m(Arrow(EMPTY, A)), SYS_V), var("y", EMPTY, SYS_V),
+                  {"z": m(Arrow(EMPTY, A))}),
+     "root: first premise types the wrong term"),
+    # system V
+    (SYS_V, var("x", A, SYS_V, env={}), "root: a variable types with a multiset"),
+    (SYS_V, mk("abs", {}, N_ID, A), "root: an abstraction types with a multiset of arrows"),
+    (SYS_V, mk("abs", {}, N_ID, m(Arrow(m(A), m(B))), (var("x", m(A), SYS_V),)),
+     "root: premise family does not realize the multiset"),
+    (SYS_V, mk("abs", {"z": m(A)}, N_ID, m(Arrow(m(A), m(A))), (var("x", m(A), SYS_V),)),
+     "root: environment is not the sum of the premises"),
+    (SYS_V, mk("es", {"y": m(A)}, X_Y, m(B), (var("x", m(A), SYS_V), var("y", m(A), SYS_V))),
+     "root: substitution preserves the type of its body"),
+    (SYS_V, mk("app", V_HEAD.env_dict, XY, A, (V_HEAD,)), "root: takes exactly two premises"),
+    (SYS_V, v_app(V_HEAD, var("z", EMPTY, SYS_V), V_HEAD.env_dict),
+     "root: second premise types the wrong term"),
+    (SYS_V, v_app(V_HEAD, var("y", A, SYS_V, env={}), V_HEAD.env_dict),
+     "root: argument premise must type with a multiset"),
+    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), V_HEAD.env_dict, ty=B),
+     "root: head must type with the singleton [M -> s]"),
+    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), {}),
+     "root: environment is not the sum of the premises"),
+    (SYS_V, mk("es", {"y": m(B)}, X_Y, m(A), (var("x", m(A), SYS_V), var("y", m(B), SYS_V))),
+     "root: argument multiset must match the binder's demand"),
+    (SYS_V, mk("es", {}, X_Y, m(A), (var("x", m(A), SYS_V), var("y", m(A), SYS_V))),
+     "root: environment is not the sum of the premises"),
+    # system N
+    (SYS_N, var("x", m(A), SYS_N), "root: type [a] is not a N judgment type"),
+    (SYS_N, mk("abs", {}, N_ID, Arrow(m(A), A)), "root: abs takes exactly one premise"),
+    (SYS_N, mk("abs", {}, N_ID, Arrow(m(B), A), (var("x", A, SYS_N),)),
+     "root: conclusion type must be M -> s from the premise"),
+    (SYS_N, mk("abs", {"z": m(A)}, N_ID, Arrow(m(A), A), (var("x", A, SYS_N),)),
+     "root: environment must be the premise's minus the binder"),
+    (SYS_N, n_app(N_HEAD, [var("z", B, SYS_N)], {"x": m(Arrow(m(B), A)), "z": m(B)}),
+     "root: argument premise 0 types the wrong term"),
+    (SYS_N, n_app(var("x", A, SYS_N), [], {"x": m(A)}), "root: head must type with an arrow"),
+    (SYS_N, n_app(N_HEAD, [], N_HEAD.env_dict),
+     "root: argument family does not realize the arrow source"),
+    (SYS_N, mk("es", {}, X_Y, A, (var("x", A, SYS_N),)),
+     "root: argument family does not realize the binder's demand"),
+    (SYS_N, n_app(N_HEAD, [N_ARG], {}), "root: environment is not the sum of the premises"),
+]
+
+
+@pytest.mark.parametrize("system,d,error", REJECTIONS,
+                         ids=[f"{sys}-{i}" for i, (sys, *_) in enumerate(REJECTIONS)])
+def test_every_rejection_of_the_checker(system, d, error):
+    assert error in check_derivation(d, system)
+
+
+@pytest.mark.parametrize("system,d", [
+    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), V_HEAD.env_dict)),
+    (SYS_V, mk("es", {"y": m(A)}, X_Y, m(A), (var("x", m(A), SYS_V), var("y", m(A), SYS_V)))),
+    (SYS_N, n_app(N_HEAD, [N_ARG], {"x": m(Arrow(m(B), A)), "y": m(B)})),
+    (SYS_N, mk("es", {"y": m(A)}, X_Y, A, (var("x", A, SYS_N), var("y", A, SYS_N)))),
+    (SYS_N, mk("abs", {}, N_ID, Arrow(m(A), A), (var("x", A, SYS_N),))),
+])
+def test_the_uncorrupted_nodes_check(system, d):
+    assert check_derivation(d, system) == []
 
 
 class TestTypability:
