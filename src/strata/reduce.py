@@ -24,14 +24,14 @@ size of the term.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .summary import AlphaTable, min_level_field
 from .terms import (
     ABS,
     CBN,
     CBV,
-    CORE,
     NO_REDEX,
     OTHER,
     Abs,
@@ -68,6 +68,9 @@ class Redex:
     position: Position
     rule: str
     level: Level
+    # from leftmost_redex, for apply_step: the nodes on the way from the
+    # root of the term it was found on to the redex; never compared
+    path: tuple[Term, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,20 +109,15 @@ def _rule_at(t: Term, calculus: str) -> str | None:
 
 def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
     """All redexes gated at the given level, leftmost-outermost first."""
-    out = []
-    for pos, s in subterms(t):
-        rule = _rule_at(s, calculus)
-        if rule is not None:
-            lvl = level_of(t, pos, calculus)
-            if lvl <= level:
-                out.append(Redex(pos, rule, lvl))
-    return out
+    return [Redex(pos, rule, lvl) for pos, s in subterms(t)
+            if (rule := _rule_at(s, calculus)) is not None
+            and (lvl := level_of(t, pos, calculus)) <= level]
 
 
 def min_redex_level(t: Term, calculus: str) -> Level | None:
     """The smallest level at which t has a redex, or None if t is normal
     even at level omega."""
-    lvl = t.summary[min_level_field(calculus)]
+    lvl = getattr(t, min_level_field(calculus))
     return None if lvl == NO_REDEX else float(lvl)
 
 
@@ -133,43 +131,46 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
 
     Descends from the root: at each node that is not itself the redex,
     into the leftmost child whose summary promises a redex within the
-    level.  Only the returned redex gets a position tuple."""
-    field = min_level_field(calculus)
+    level.  Only the returned redex gets a position tuple, and it keeps
+    the nodes passed on the way."""
+    min_level = attrgetter(min_level_field(calculus))
     by_value = calculus == CBV
     gate = min(level, _LAST_LEVEL)
-    if t.summary[field] > gate:
+    if min_level(t) > gate:
         return None
     # invariant: t holds a redex at level at most gate, counting depth
     # for the edges crossed to reach t
-    path: list[str] = []
+    edges: list[str] = []
+    nodes: list[Term] = []
     depth = 0
     while True:
+        nodes.append(t)
         kind = type(t)
         if kind is App:
             f = t.fun
-            if f.summary[CORE] == ABS:
-                return Redex(tuple(path), DB, float(depth))
-            if depth + f.summary[field] <= gate:
-                path.append("l")
+            if f.core == ABS:
+                return Redex(tuple(edges), DB, float(depth), tuple(nodes))
+            if depth + min_level(f) <= gate:
+                edges.append("l")
                 t = f
             else:
-                path.append("r")
+                edges.append("r")
                 t = t.arg
                 if not by_value:
                     depth += 1
         elif kind is Es:
             if not by_value:
-                return Redex(tuple(path), SN, float(depth))
-            if t.arg.summary[CORE] != OTHER:
-                return Redex(tuple(path), SV, float(depth))
-            if depth + t.body.summary[field] <= gate:
-                path.append("s")
+                return Redex(tuple(edges), SN, float(depth), tuple(nodes))
+            if t.arg.core != OTHER:
+                return Redex(tuple(edges), SV, float(depth), tuple(nodes))
+            if depth + min_level(t.body) <= gate:
+                edges.append("s")
                 t = t.body
             else:
-                path.append("e")
+                edges.append("e")
                 t = t.arg
         else:  # an abstraction: leaves hold no redex
-            path.append("b")
+            edges.append("b")
             t = t.body
             if by_value:
                 depth += 1
@@ -236,11 +237,13 @@ def _contract(t: Term, rule: str, calculus: str) -> Term:
 def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
     """Contract one redex occurrence; re-validates the match first.
 
-    One descent to the redex keeps the nodes on its path, and one ascent
-    rebuilds them over the contractum."""
-    pos = redex.position
-    path = path_to(t, pos)
-    sub = path.pop()
+    The nodes on the way to the redex are those the redex kept when it
+    was found on t, or else those of one descent; one ascent rebuilds
+    them over the contractum."""
+    pos, path = redex.position, redex.path
+    if path is None or path[0] is not t:
+        path = path_to(t, pos)
+    sub = path[-1]
     rule = _rule_at(sub, calculus)
     if rule != redex.rule:
         raise ValueError(f"no {redex.rule} redex at position {''.join(pos) or 'root'}")

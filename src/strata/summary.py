@@ -3,13 +3,13 @@
 Every node carries its summary from construction: a name-free
 fingerprint, the core under its substitution spine, the shallowest
 redex level per calculus, and its free names.  This module files terms
-by those summaries up to alpha, and names the level field of each
+by those summaries up to alpha, and names the level slot of each
 calculus.
 """
 
 from __future__ import annotations
 
-from .terms import CBN, CBN_MIN, CBV, CBV_MIN, FINGERPRINT, FREE, Term, alpha_eq
+from .terms import CBN, CBV, Term, alpha_eq
 
 
 class AlphaTable:
@@ -26,8 +26,7 @@ class AlphaTable:
 
     def get(self, t: Term):
         """The value of the first entry alpha-equal to t, or None."""
-        s = t.summary
-        row = self._rows.get((s[FINGERPRINT], s[FREE]))
+        row = self._rows.get((t.fp, t.free))
         if row:
             for u, value in row:
                 if alpha_eq(u, t):
@@ -35,14 +34,12 @@ class AlphaTable:
         return None
 
     def add(self, t: Term, value) -> None:
-        s = t.summary
-        self._rows.setdefault((s[FINGERPRINT], s[FREE]), []).append((t, value))
+        self._rows.setdefault((t.fp, t.free), []).append((t, value))
 
 
-def min_level_field(calculus: str) -> int:
-    """The summary field holding the shallowest redex level of a calculus."""
-    if calculus == CBV:
-        return CBV_MIN
-    if calculus == CBN:
-        return CBN_MIN
+def min_level_field(calculus: str) -> str:
+    """The node slot holding the shallowest redex level of a calculus,
+    which is named after it."""
+    if calculus in (CBV, CBN):
+        return calculus
     raise ValueError(f"unknown calculus {calculus!r}")

@@ -11,6 +11,13 @@ total; terms with no explicit substitution are called pure.
 
 Every node is built with its summary (see below): the engine, the
 alpha-keyed tables and free_vars read it instead of walking the term.
+Nodes are immutable by convention: only the constructors write their
+fields, which a test checks by scanning the source.  A frozen dataclass
+would enforce it, but then each field is written by object.__setattr__:
+building an App took 1.6-2.1 us that way against 0.6-1.0 us by plain
+assignment (Python 3.11), and building nodes is most of a reduction
+step.  Terms are not hashable; the alpha-keyed tables file them by fp
+and free.
 
 Contexts are terms with exactly one occurrence of the hole ``@``.
 Plugging a term into a context is literal replacement: the context may
@@ -39,26 +46,24 @@ Position = tuple[str, ...]
 
 
 # A node's summary is computed when the node is built, from its
-# children's summaries alone, and kept in its ``summary`` slot.  It is a
-# tuple with five fields:
+# children's summaries alone, and kept in five slots of the node:
 #
-#   FINGERPRINT  a structural hash that ignores every name, so that
-#                alpha-equal terms have equal fingerprints;
-#   CORE         what the node is under its explicit-substitution body
-#                spine: ABS, VAR or OTHER.  The rules look no further
-#                below a node than this (dB needs an abstraction under
-#                the function's spine, sv a value under the argument's);
-#   CBV_MIN      the shallowest level of a call-by-value redex in the
-#   CBN_MIN      subterm, and of a call-by-name one, relative to the
-#                node, as an int; NO_REDEX when the subterm has none;
-#   FREE         the free names, as a frozenset shared with a child
-#                whenever the child has the same names.
+#   fp     a structural hash that ignores every name, so that alpha-equal
+#          terms have equal fingerprints;
+#   core   what the node is under its explicit-substitution body spine:
+#          ABS, VAR or OTHER.  The rules look no further below a node
+#          than this (dB needs an abstraction under the function's spine,
+#          sv a value under the argument's);
+#   cbv    the shallowest level of a call-by-value redex in the subterm,
+#   cbn    and of a call-by-name one, relative to the node, as an int;
+#          NO_REDEX when the subterm has none;
+#   free   the free names, as a frozenset shared with a child whenever
+#          the child has the same names, and by every variable of a name.
 #
 # Levels add up along a path (a binder counts one in call-by-value, an
 # argument edge one in call-by-name), so the shallowest level is
 # compositional: zero when the node itself is a redex, otherwise the
 # least over its children of the edge's cost plus the child's value.
-FINGERPRINT, CORE, CBV_MIN, CBN_MIN, FREE = range(5)
 
 ABS, VAR, OTHER = range(3)
 
@@ -73,17 +78,15 @@ _MASK = (1 << 30) - 1
 _NO_NAMES: frozenset[str] = frozenset()
 _BOT = (hash((4,)) & _MASK, OTHER, NO_REDEX, NO_REDEX, _NO_NAMES)
 _HOLE = (hash((5,)) & _MASK, OTHER, NO_REDEX, NO_REDEX, _NO_NAMES)
-_VAR_FINGERPRINT = hash((0,)) & _MASK
-_VARS: dict[str, tuple] = {}  # the summary of each variable, by name
+_VAR = (hash((0,)) & _MASK, VAR, NO_REDEX, NO_REDEX)
+_VAR_NAMES: dict[str, frozenset[str]] = {}  # the free names of each variable
 
 
 class Node:
     """Base of the term classes: every node is built with its summary."""
 
-    __slots__ = ("summary",)
+    __slots__ = ("fp", "core", "cbv", "cbn", "free")
 
-
-_store = Node.summary.__set__  # writes the slot of a frozen node
 
 # Each constructor below reads its children's summaries only, so a term
 # of any depth is summarized as it is built, bottom-up.  Comparisons
@@ -93,56 +96,54 @@ _store = Node.summary.__set__  # writes the slot of a frozen node
 # object.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Var(Node):
     name: str
 
-    def __post_init__(self):
-        s = _VARS.get(self.name)
-        if s is None:
-            s = _VARS[self.name] = (_VAR_FINGERPRINT, VAR, NO_REDEX, NO_REDEX,
-                                    frozenset((self.name,)))
-        _store(self, s)
+    def __init__(self, name: str):
+        self.name = name
+        self.free = _VAR_NAMES.get(name) or _VAR_NAMES.setdefault(name, frozenset((name,)))
+        self.fp, self.core, self.cbv, self.cbn = _VAR
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Abs(Node):
     binder: str
     body: "Term"
 
-    def __post_init__(self):
-        sb = self.body.summary
-        free = sb[FREE]
-        if self.binder in free:
-            free = free - {self.binder} or _NO_NAMES
-        cbv = sb[CBV_MIN]
-        _store(self, (hash((1, sb[FINGERPRINT])) & _MASK, ABS,
-                      cbv if cbv == NO_REDEX else cbv + 1, sb[CBN_MIN], free))
+    def __init__(self, binder: str, body: "Term"):
+        self.binder, self.body = binder, body
+        free = body.free
+        if binder in free:
+            free = free - {binder} or _NO_NAMES
+        self.free = free
+        self.fp, self.core, self.cbn = hash((1, body.fp)) & _MASK, ABS, body.cbn
+        cbv = body.cbv
+        self.cbv = cbv if cbv == NO_REDEX else cbv + 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class App(Node):
     fun: "Term"
     arg: "Term"
 
-    def __post_init__(self):
-        sl, sr = self.fun.summary, self.arg.summary
-        fp = hash((2, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK
-        free, fa = sl[FREE], sr[FREE]
+    def __init__(self, fun: "Term", arg: "Term"):
+        self.fun, self.arg = fun, arg
+        free, fa = fun.free, arg.free
         if not fa <= free:
             free = fa if free <= fa else free | fa
-        if sl[CORE] == ABS:  # dB at the node
-            s = (fp, OTHER, 0, 0, free)
+        self.free = free
+        self.fp, self.core = hash((2, fun.fp, arg.fp)) & _MASK, OTHER
+        if fun.core == ABS:  # dB at the node
+            self.cbv = self.cbn = 0
         else:
-            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
-            cbn, arg = sl[CBN_MIN], sr[CBN_MIN]
-            if arg != NO_REDEX and arg + 1 < cbn:
-                cbn = arg + 1
-            s = (fp, OTHER, cbv if cbv < right else right, cbn, free)
-        _store(self, s)
+            cbv, right = fun.cbv, arg.cbv
+            self.cbv = cbv if cbv < right else right
+            cbn, right = fun.cbn, arg.cbn
+            self.cbn = right + 1 if right != NO_REDEX and right + 1 < cbn else cbn
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Es(Node):
     """Explicit substitution ``body[binder\\arg]``; binder scopes over body."""
 
@@ -150,35 +151,35 @@ class Es(Node):
     binder: str
     arg: "Term"
 
-    def __post_init__(self):
-        sl, sr = self.body.summary, self.arg.summary
-        free, fa = sl[FREE], sr[FREE]
-        if self.binder in free:
-            free = free - {self.binder} or _NO_NAMES
+    def __init__(self, body: "Term", binder: str, arg: "Term"):
+        self.body, self.binder, self.arg = body, binder, arg
+        free, fa = body.free, arg.free
+        if binder in free:
+            free = free - {binder} or _NO_NAMES
         if not fa <= free:
             free = fa if free <= fa else free | fa
+        self.free = free
+        self.fp, self.core = hash((3, body.fp, arg.fp)) & _MASK, body.core
         # sN matches every substitution, sv one whose argument is a
         # value under its spine
-        if sr[CORE] != OTHER:
-            cbv = 0
+        if arg.core != OTHER:
+            self.cbv = 0
         else:
-            cbv, right = sl[CBV_MIN], sr[CBV_MIN]
-            if right < cbv:
-                cbv = right
-        _store(self, (hash((3, sl[FINGERPRINT], sr[FINGERPRINT])) & _MASK,
-                      sl[CORE], cbv, 0, free))
+            cbv, right = body.cbv, arg.cbv
+            self.cbv = right if right < cbv else cbv
+        self.cbn = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Bot(Node):
-    def __post_init__(self):
-        _store(self, _BOT)
+    def __init__(self):
+        self.fp, self.core, self.cbv, self.cbn, self.free = _BOT
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Hole(Node):
-    def __post_init__(self):
-        _store(self, _HOLE)
+    def __init__(self):
+        self.fp, self.core, self.cbv, self.cbn, self.free = _HOLE
 
 
 Term = Union[Var, Abs, App, Es, Bot, Hole]
@@ -194,7 +195,7 @@ def is_value(t: Term) -> bool:
 
 def free_vars(t: Term) -> frozenset[str]:
     """The free names of t, read from its summary."""
-    return t.summary[FREE]
+    return t.free
 
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
@@ -304,7 +305,8 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
 
     A binder is renamed only where it would capture a free variable of
     a term substituted below it.  Every subterm that the substitution
-    leaves unchanged is returned as the same node."""
+    leaves unchanged is returned as the same node, and a subterm in
+    which no substituted name is free is not walked."""
     if not sigma:
         return t
     # each substituted variable, with its term and the term's free names
@@ -315,6 +317,8 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
         if kind is Var:
             hit = env.get(t.name)
             return t if hit is None else hit[0]
+        if t.free.isdisjoint(env):  # no substituted name is free in t
+            return t
         if kind is App:
             f, a = go(t.fun, env), go(t.arg, env)
             return t if f is t.fun and a is t.arg else App(f, a)

@@ -35,19 +35,24 @@ CONTEXT_SIZE = 5
 CONTEXT_FUEL = 200
 
 
+# each kind of certificate: what it shows, its result, and the theories
+# in which it proves that result
+KINDS = {
+    "common-reduct": ("both terms reduce to a common term", EQUAL, THEORIES),
+    "both-meaningless": ("both terms are meaningless", EQUAL, (H, HSTAR)),
+    "distinct-normal-forms": ("the terms have distinct normal forms", NOT_EQUAL, (LAMBDA, H)),
+    "meaningfulness-separation": ("exactly one term is meaningful", NOT_EQUAL, (H, HSTAR)),
+    "context-witness": ("a context separates the terms' meaningfulness", NOT_EQUAL, (H, HSTAR)),
+}
+
+
 @dataclass
 class Certificate:
     kind: str
     data: dict
 
     def describe(self) -> str:
-        return {
-            "common-reduct": "both terms reduce to a common term",
-            "both-meaningless": "both terms are meaningless",
-            "distinct-normal-forms": "the terms have distinct normal forms",
-            "meaningfulness-separation": "exactly one term is meaningful",
-            "context-witness": "a context separates the terms' meaningfulness",
-        }[self.kind]
+        return KINDS[self.kind][0]
 
 
 @dataclass
@@ -89,62 +94,57 @@ def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
 
 def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
     verdicts = {th: Verdict(th, UNKNOWN) for th in THEORIES}
-    oracle = Oracle(calculus, fuel)
 
+    def certify(kind: str, data: dict) -> Judgment:
+        """Record a certificate's result in every theory it proves it in."""
+        cert = Certificate(kind, data)
+        _, result, theories = KINDS[kind]
+        for th in theories:
+            verdicts[th] = Verdict(th, result, cert)
+        return Judgment(t, u, calculus, verdicts)
+
+    oracle = Oracle(calculus, fuel)
     tr_t = normalize(t, calculus, OMEGA, fuel)
     tr_u = normalize(u, calculus, OMEGA, fuel)
 
     common = _common_reduct(tr_t, tr_u)
     if common is not None:
-        cert = Certificate("common-reduct", {"term": common, "left": tr_t, "right": tr_u})
-        for th in THEORIES:
-            verdicts[th] = Verdict(th, EQUAL, cert)
-        return Judgment(t, u, calculus, verdicts)
+        return certify("common-reduct", {"term": common, "left": tr_t, "right": tr_u})
 
     mt = oracle.meaning(t)
     mu = oracle.meaning(u)
-
     if mt.status == MEANINGLESS and mu.status == MEANINGLESS:
-        cert = Certificate("both-meaningless", {"left": mt, "right": mu})
-        verdicts[H] = Verdict(H, EQUAL, cert)
-        verdicts[HSTAR] = Verdict(HSTAR, EQUAL, cert)
-        return Judgment(t, u, calculus, verdicts)
+        return certify("both-meaningless", {"left": mt, "right": mu})
 
     if tr_t.outcome == "normal" and tr_u.outcome == "normal" \
             and not alpha_eq(tr_t.final, tr_u.final):
-        cert = Certificate(
-            "distinct-normal-forms", {"left": tr_t.final, "right": tr_u.final}
-        )
-        verdicts[LAMBDA] = Verdict(LAMBDA, NOT_EQUAL, cert)
-        verdicts[H] = Verdict(H, NOT_EQUAL, cert)
         witness = falsify_observational(t, u, calculus)
-        if witness is not None:
-            verdicts[HSTAR] = Verdict(
-                HSTAR, NOT_EQUAL, Certificate("context-witness", {"context": witness})
-            )
-        return Judgment(t, u, calculus, verdicts)
+        if witness is not None:  # the normal forms then decide H
+            certify("context-witness", {"context": witness})
+        return certify("distinct-normal-forms", {"left": tr_t.final, "right": tr_u.final})
 
     if {mt.status, mu.status} == {MEANINGFUL, MEANINGLESS}:
-        cert = Certificate("meaningfulness-separation", {"left": mt, "right": mu})
-        verdicts[HSTAR] = Verdict(HSTAR, NOT_EQUAL, cert)
-        verdicts[H] = Verdict(H, NOT_EQUAL, cert)
-        return Judgment(t, u, calculus, verdicts)
+        return certify("meaningfulness-separation", {"left": mt, "right": mu})
 
     witness = falsify_observational(t, u, calculus)
     if witness is not None:
-        cert = Certificate("context-witness", {"context": witness})
-        verdicts[HSTAR] = Verdict(HSTAR, NOT_EQUAL, cert)
-        verdicts[H] = Verdict(H, NOT_EQUAL, cert)
+        return certify("context-witness", {"context": witness})
     return Judgment(t, u, calculus, verdicts)
 
 
 def reverify(j: Judgment, fuel: int | None = None) -> bool:
-    """Re-check every non-Unknown verdict's certificate from scratch."""
+    """Re-check every non-Unknown verdict's certificate from scratch,
+    and that the certificate proves that verdict in that theory."""
     oracle = Oracle(j.calculus, fuel)
-    for v in j.verdicts.values():
-        if v.result == UNKNOWN or v.certificate is None:
+    for theory, v in j.verdicts.items():
+        if v.result == UNKNOWN:
             continue
         c = v.certificate
+        if c is None or v.theory != theory or c.kind not in KINDS:
+            return False
+        _, result, theories = KINDS[c.kind]
+        if v.result != result or theory not in theories:
+            return False
         match c.kind:
             case "common-reduct":
                 tr_t = normalize(j.left, j.calculus, OMEGA, fuel)
@@ -172,6 +172,4 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
                 pair = {oracle.status(plug(ctx, j.left)), oracle.status(plug(ctx, j.right))}
                 if pair != {MEANINGFUL, MEANINGLESS}:
                     return False
-            case _:
-                return False
     return True

@@ -73,16 +73,13 @@ def mult_minus(a: Mult, b: Mult) -> Mult:
 
 
 def valid_ty(t: Ty, system: str) -> bool:
-    """Shape check: system N forbids bare multisets as judgment types."""
-    match t:
-        case TyVar(_):
-            return True
-        case Mult(items):
-            if system == SYS_N:
-                return False
-            return all(valid_ty(i, system) for i in items)
-        case Arrow(src, tgt):
-            return all(valid_ty(i, system) for i in src.items) and valid_ty(tgt, system)
+    """Shape check: system N forbids bare multisets as judgment types;
+    every type is a V judgment type."""
+    if system != SYS_N or isinstance(t, TyVar):
+        return True
+    if isinstance(t, Mult):
+        return False
+    return all(valid_ty(i, system) for i in t.src.items) and valid_ty(t.tgt, system)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts
 from strata.genericity import OK
 from strata.summary import AlphaTable
-from strata.terms import FINGERPRINT, OMEGA, canonical
+from strata.terms import OMEGA, canonical
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -119,7 +119,7 @@ def test_no_program_path_builds_a_canonical_key(monkeypatch):
 def _one_row(*terms):
     """The terms, asserted to share one fingerprint, so that only their
     free names and alpha_eq can tell them apart in an AlphaTable."""
-    assert len({t.summary[FINGERPRINT] for t in terms}) == 1
+    assert len({t.fp for t in terms}) == 1
     return terms
 
 

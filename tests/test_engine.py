@@ -4,8 +4,10 @@ summaries that every node is built with, also the nodes contraction
 builds; a pin on the traces; fuel semantics; and the typing regressions of the
 call-by-name expansion."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from strata import (
     show,
     typable,
 )
+import strata.terms
 from strata.cli import main
 from strata.corpus import enumerate_terms
 from strata.reduce import (
@@ -36,7 +39,7 @@ from strata.reduce import (
     redex_at,
     trace_to_dict,
 )
-from strata.terms import ABS, CORE, FINGERPRINT, FREE, Es, free_vars, subterm_at, subterms
+from strata.terms import ABS, Es, Node, free_vars, path_to, subterm_at, subterms
 
 from conftest import ID, OMEGA_LOOP
 
@@ -80,7 +83,12 @@ class TestAgainstTheFullListing:
                         assert step is None, (t, c, k)
                         continue
                     first = listed[0]
-                    assert leftmost_redex(t, c, k) == first, (t, c, k)
+                    found = leftmost_redex(t, c, k)
+                    # the nodes it carries take no part in equality
+                    assert found == first and first.path is None, (t, c, k)
+                    nodes = path_to(t, first.position)
+                    assert len(found.path) == len(nodes), (t, c, k)
+                    assert all(a is b for a, b in zip(found.path, nodes)), (t, c, k)
                     assert (step.position, step.rule, step.level) == (
                         first.position, first.rule, first.level), (t, c, k)
 
@@ -134,10 +142,43 @@ class TestSummaries:
 
     def test_summary_lives_in_a_slot(self):
         t = Abs("x", App(Var("x"), Var("y")))  # summarized as it is built
-        assert not hasattr(t, "__dict__")
-        assert t.summary[CORE] == ABS and t.summary[FREE] == {"y"}
-        # a variable's summary is shared by every variable of its name
-        assert Var("y").summary is t.body.arg.summary
+        for node in (t, t.body, t.body.arg, BOT, Es(Var("x"), "x", t)):
+            assert not hasattr(node, "__dict__")
+            assert not any(isinstance(v, tuple) for v in _summary(node)), node
+        assert t.core == ABS and t.free == {"y"}
+        # every variable of a name shares one free-name set
+        assert Var("y").free is t.body.arg.free
+        assert Var("x").free is t.body.fun.free is Var("x").free
+
+    def test_only_the_constructors_write_node_fields(self):
+        """Nodes are immutable by convention: no line of the program
+        assigns or deletes a node field, or sets one by name, outside
+        the constructors of the term classes."""
+        fields = set(Node.__slots__) | {
+            f for cls in (Var, Abs, App, Es) for f in cls.__dataclass_fields__}
+        writes, exempt = [], 0
+        for path in sorted(Path(strata.terms.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            constructors = set()  # the ids of the nodes of their bodies
+            if path.name == "terms.py":
+                for cls in tree.body:
+                    if isinstance(cls, ast.ClassDef) and issubclass(
+                            getattr(strata.terms, cls.name, object), Node):
+                        for f in cls.body:
+                            if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                                constructors |= {id(n) for n in ast.walk(f)}
+            exempt += len(constructors)
+            for n in ast.walk(tree):
+                if id(n) in constructors:
+                    continue
+                stored = isinstance(n, ast.Attribute) and n.attr in fields and \
+                    isinstance(n.ctx, (ast.Store, ast.Del))
+                named = isinstance(n, ast.Call) and ast.unparse(n.func).endswith(
+                    ("setattr", "__setattr__", "__set__")) and any(
+                    isinstance(a, ast.Constant) and a.value in fields for a in n.args)
+                if stored or named:
+                    writes.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+        assert exempt > 100 and writes == []
 
     def test_deep_term_needs_no_deep_recursion(self):
         deep = Var("x")
@@ -150,7 +191,12 @@ class TestSummaries:
 
 
 def _fingerprint(text):
-    return parse(text).summary[FINGERPRINT]
+    return parse(text).fp
+
+
+def _summary(node):
+    """The five summary slots of a node, in a tuple."""
+    return tuple(getattr(node, slot) for slot in Node.__slots__)
 
 
 def _names(t):
@@ -182,7 +228,7 @@ class TestContractionCaches:
                         after = step.after
                         unshared = parse(show(after, rename=False))
                         for pos, s in subterms(after):
-                            assert s.summary == subterm_at(unshared, pos).summary, (t, c, k, pos)
+                            assert _summary(s) == _summary(subterm_at(unshared, pos)), (t, c, k, pos)
                             assert free_vars(s) == _names(s), (t, c, k, pos)
                         checked += 1
         assert checked > 10_000

@@ -200,9 +200,41 @@ def test_normalize_contracts_through_the_module_apply_step(monkeypatch, text):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def no_descent(*args):
+        raise AssertionError("a redex found by normalize carries its path")
+
     monkeypatch.setattr(strata.reduce, "apply_step", counting)
+    monkeypatch.setattr(strata.reduce, "path_to", no_descent)
     for c in (CBV, CBN):
         for k in (0.0, OMEGA):
             calls.clear()
             tr = normalize(parse(text), c, k, 40)
             assert len(calls) == len(tr.steps) > 0, (c, k)
+            # each step contracts the redex found on its own term
+            assert all(r.path[0] is t for t, r, _ in calls), (c, k)
+
+
+# pairs of terms with a redex at the same position and of the same rule,
+# the second an alpha-variant of the first or not
+SAME_REDEX = [
+    (r"z (\w.w) ((\x.x) a)", r"z (\v.v) ((\y.y) a)"),
+    (r"z (\w.w) ((\x.x) a)", r"z (\v.v v) ((\y.y y) b)"),
+    (r"\u.(x x)[x\\w.w]", r"\u.(y u)[y\\w.u w]"),
+]
+
+
+@pytest.mark.parametrize("text,other", SAME_REDEX)
+def test_apply_step_without_the_carried_path(text, other):
+    """A hand-built redex, and one found on another term, are contracted
+    on the term they are applied to."""
+    t, u = parse(text), parse(other)
+    for c in (CBV, CBN):
+        r = strata.reduce.leftmost_redex(t, c, OMEGA)
+        bare = Redex(r.position, r.rule, r.level)
+        assert bare == r and bare.path is None and r.path[0] is t
+        assert apply_step(t, bare, c).after == apply_step(t, r, c).after
+        expected = apply_step(u, strata.reduce.leftmost_redex(u, c, OMEGA), c)
+        for redex in (r, bare):
+            step = apply_step(u, redex, c)
+            assert step.before is u and step.after == expected.after, (c, redex)
+            assert step.position == expected.position and step.rule == expected.rule

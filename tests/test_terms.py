@@ -197,6 +197,23 @@ class TestSubstitution:
         assert subst(t, {"x": Var("y")}) is t
         assert subst(t, {}) is t
 
+    def test_subtree_without_the_variable_is_not_walked(self):
+        # 5,000 nested binders with no x under them: returned as the same
+        # node without a walk, so the interpreter's default recursion
+        # limit is enough
+        deep = Var("y")
+        for i in range(5000):
+            deep = Abs(f"v{i}", App(deep, Var("z")))
+        t = App(App(deep, Var("x")), Es(deep, "w", Var("x")))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            out = subst(t, {"x": parse(r"\y.y")})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.fun.fun is deep and out.arg.body is deep
+        assert out.fun.arg == out.arg.arg == parse(r"\y.y")
+
     def test_closure_binder_shadows_the_variable(self):
         t = parse(r"(x y)[x\x]")
         assert alpha_eq(subst(t, {"x": Var("y")}), parse(r"(x y)[x\y]"))

@@ -117,8 +117,18 @@ class TestCertificates:
                     assert isinstance(cert.describe(), str) and cert.describe()
 
 
+# the result each kind of certificate proves, and in which theories
+PROVES = {
+    "common-reduct": ("equal", THEORIES),
+    "both-meaningless": ("equal", (H, HSTAR)),
+    "distinct-normal-forms": ("not-equal", (LAMBDA, H)),
+    "meaningfulness-separation": ("not-equal", (H, HSTAR)),
+    "context-witness": ("not-equal", (H, HSTAR)),
+}
+
 # Each certificate on a pair it does not hold for: the judgment that
-# reverify receives carries that one certificate.
+# reverify receives carries that one certificate, with a verdict it
+# would prove if it held.
 TAMPERED = [
     ("common-reduct", ID, r"\x.\y.x", {}),
     ("both-meaningless", ID, OMEGA_LOOP, {}),
@@ -134,6 +144,50 @@ TAMPERED = [
 @pytest.mark.parametrize("kind,left,right,data", TAMPERED,
                          ids=[f"{k}-{i}" for i, (k, *_) in enumerate(TAMPERED)])
 def test_reverify_rejects_a_certificate_that_does_not_hold(kind, left, right, data):
+    result, theories = PROVES.get(kind, ("not-equal", (HSTAR,)))
+    theory = theories[-1]
     j = Judgment(p(left), p(right), CBV,
-                 {HSTAR: Verdict(HSTAR, "not-equal", Certificate(kind, data))})
+                 {theory: Verdict(theory, result, Certificate(kind, data))})
     assert not reverify(j)
+
+
+# a pair on which each kind of certificate holds
+HOLDS = {
+    "common-reduct": (rf"({ID}) ({ID})", ID, {}),
+    "both-meaningless": (OMEGA_LOOP, rf"(x x)[x\{DELTA}]", {}),
+    "distinct-normal-forms": (ID, r"\x.\y.x y", {}),
+    "meaningfulness-separation": (ID, OMEGA_LOOP, {}),
+    "context-witness": (ID, OMEGA_LOOP, {"context": parse_context("@")}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOLDS))
+def test_reverify_accepts_a_certificate_only_for_the_verdicts_it_proves(kind):
+    left, right, data = HOLDS[kind]
+    proved, theories = PROVES[kind]
+    for result in ("equal", "not-equal"):
+        for theory in THEORIES:
+            j = Judgment(p(left), p(right), CBV,
+                         {theory: Verdict(theory, result, Certificate(kind, data))})
+            assert reverify(j) == (result == proved and theory in theories), (
+                kind, result, theory)
+
+
+@pytest.mark.parametrize("left,right,result,kind", [
+    (rf"({ID}) ({ID})", ID, "not-equal", "common-reduct"),
+    (ID, r"\x.\y.x y", "equal", "distinct-normal-forms"),
+])
+def test_reverify_rejects_a_certificate_attached_to_the_opposite_verdict(
+        left, right, result, kind):
+    j = judge(p(left), p(right), CBV)
+    cert = j[HSTAR].certificate if kind == "common-reduct" else j[LAMBDA].certificate
+    assert cert.kind == kind and reverify(j)
+    tampered = Judgment(j.left, j.right, CBV, {**j.verdicts, HSTAR: Verdict(HSTAR, result, cert)})
+    assert not reverify(tampered)
+
+
+def test_reverify_rejects_a_verdict_without_certificate_or_under_another_theory():
+    j = judge(p(rf"({ID}) ({ID})"), p(ID), CBV)
+    assert not reverify(Judgment(j.left, j.right, CBV, {H: Verdict(H, "equal")}))
+    assert not reverify(Judgment(j.left, j.right, CBV,
+                                 {H: Verdict(LAMBDA, "equal", j[H].certificate)}))

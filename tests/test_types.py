@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+import strata.types_core
+
 from strata import (
     Abs,
     App,
@@ -243,6 +245,22 @@ def test_every_rejection_of_the_checker(system, d, error):
 ])
 def test_the_uncorrupted_nodes_check(system, d):
     assert check_derivation(d, system) == []
+
+
+def test_only_system_n_checks_the_shape_of_types(monkeypatch):
+    """Every type is a V judgment type, so valid_ty answers for system V
+    without walking the type; in system N it walks every arrow."""
+    ty = parse_ty("[[a] -> b, [c]] -> [d]")
+    valid = strata.types_core.valid_ty
+
+    def no_walk(t, system):
+        raise AssertionError(f"walked into {t!r}")
+
+    monkeypatch.setattr(strata.types_core, "valid_ty", no_walk)
+    assert valid(ty, SYS_V) and valid(parse_ty("[a]"), SYS_V)
+    monkeypatch.undo()
+    assert not valid(ty, SYS_N) and not valid(parse_ty("[a] -> [b]"), SYS_N)
+    assert valid(parse_ty("[[a] -> b, c] -> d"), SYS_N)
 
 
 class TestTypability:

@@ -1,0 +1,121 @@
+"""Compare two checkouts of strata on the benchmark, in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_13.json
+
+PARENT and CHANGE are the roots of two checkouts (for example one made
+with ``git archive`` of the parent commit, and this one).  For every
+workload of ``BENCHMARK.json``, ``perfbench/run.py`` runs ``PAIRS``
+times in each checkout with ``--seed SEED --seconds SECONDS --trace 0``,
+the two sides alternating which runs first.  For every end-to-end metric
+the output gives each side's median and quartiles, every run's value,
+and how many pairs the change won, in the metric's better direction
+(ties count for neither).
+It also times ``enumerate_terms(9)`` in a fresh process per side and
+run, with that process's peak RSS.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# fixed, so that every report of this tool compares like with like
+PAIRS = 10
+SEED = 43
+SECONDS = 30.0
+
+ENUMERATE = """
+import resource, sys, time
+sys.path.insert(0, "src")
+from strata.corpus import enumerate_terms
+start = time.perf_counter()
+n = sum(1 for _ in enumerate_terms(9))
+print(n, time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def run_benchmark(root: Path, workload: str) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_enumerate(root: Path) -> dict:
+    done = subprocess.run([sys.executable, "-c", ENUMERATE], cwd=root,
+                          capture_output=True, text=True, check=True)
+    n, seconds, rss = done.stdout.split()
+    return {"terms": int(n), "seconds": float(seconds), "peak_rss_mb": float(rss)}
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent: list[dict], change: list[dict], better: str) -> dict:
+    """Each side's summary over its runs, and the pairs the change won."""
+    sign = 1 if better == "higher" else -1
+    p = [r["value"] for r in parent]
+    c = [r["value"] for r in change]
+    return {"parent": summarize(p), "change": summarize(c),
+            "change_won": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "pairs": len(p)}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    report = {
+        "settings": {"pairs": PAIRS, "seed": SEED, "seconds": SECONDS,
+                     "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)"},
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "system": platform.system(), "cpus": os.cpu_count()},
+        "workloads": {},
+    }
+    for w in spec["workloads"]:
+        name = w["name"]
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_benchmark(sides[side], name)
+                runs[side].append(result)
+                print(f"# {name} pair {i} {side}: steps_per_s "
+                      f"{result['metrics']['steps_per_s']['value']:.0f}", file=sys.stderr)
+        report["workloads"][name] = {
+            "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
+            "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
+            "metrics": {
+                m["name"]: {"unit": m["unit"], "better": m["better"], **compare(
+                    [r["metrics"][m["name"]] for r in runs["parent"]],
+                    [r["metrics"][m["name"]] for r in runs["change"]], m["better"])}
+                for m in spec["end_to_end"]},
+        }
+    enum = {side: [] for side in sides}
+    for i in range(PAIRS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            enum[side].append(run_enumerate(sides[side]))
+    report["enumerate_terms_9"] = {
+        side: {"terms": enum[side][0]["terms"],
+               "seconds": summarize([r["seconds"] for r in enum[side]]),
+               "peak_rss_mb": summarize([r["peak_rss_mb"] for r in enum[side]])}
+        for side in sides}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
