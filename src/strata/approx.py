@@ -26,6 +26,7 @@ from typing import Union
 
 from .terms import (
     Abs,
+    AlphaTable,
     App,
     BOT,
     Es,
@@ -36,8 +37,7 @@ from .terms import (
     level_of,
     partial_leq,
 )
-from .reduce import Step, apply_step, normalize, redex_at
-from .summary import AlphaTable
+from .reduce import Redex, Step, apply_step, normalize
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
@@ -146,7 +146,7 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
 def _inseparable(hat: Term, oracle: Oracle, pos: Position) -> bool:
     """The pruned form hat of a meaningless node still carries a bot at
     surface level or is itself meaningless."""
-    if any(level_of(hat, p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
+    if any(level_of(p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
         return True
     status = oracle.status(hat)
     if status == UNKNOWN:
@@ -170,11 +170,10 @@ class Collapsed:
 @dataclass(frozen=True)
 class Mapped:
     """The step survives in the approximant as the same rule at the
-    same position; over is the contraction of the surviving redex,
-    which refines the approximant of the step's target."""
+    same position; step is the contraction of the surviving redex,
+    whose target refines the approximant of the original step's."""
 
     step: Step
-    over: Term
 
 
 def approximate_step(
@@ -197,17 +196,18 @@ def approximate_step(
     if alpha_eq(before_hat, after_hat):
         return Collapsed(before_hat)
 
-    r = redex_at(before_hat, step.position, oracle.calculus, step.level)
-    if r is None or r.rule != step.rule:
+    redex = Redex(step.position, step.rule, step.level)
+    try:
+        mapped = apply_step(before_hat, redex, oracle.calculus)
+    except ValueError:
         raise AssertionError(
             "redex did not survive in the approximant of a meaningful prefix"
-        )
-    mapped = apply_step(before_hat, r, oracle.calculus)
+        ) from None
     if not partial_leq(after_hat, mapped.after):
         raise AssertionError(
             "approximant of the target does not refine into the mapped step"
         )
-    return Mapped(mapped, mapped.after)
+    return Mapped(mapped)
 
 
 def lift_step(step: Step, refined: Term, calculus: str) -> Step:
@@ -219,10 +219,10 @@ def lift_step(step: Step, refined: Term, calculus: str) -> Step:
     """
     if not partial_leq(step.before, refined):
         raise ValueError("term does not refine the step's source")
-    r = redex_at(refined, step.position, calculus, step.level)
-    if r is None or r.rule != step.rule:
-        raise AssertionError("redex vanished under refinement")
-    lifted = apply_step(refined, r, calculus)
+    try:
+        lifted = apply_step(refined, Redex(step.position, step.rule, step.level), calculus)
+    except ValueError:
+        raise AssertionError("redex vanished under refinement") from None
     if not partial_leq(step.after, lifted.after):
         raise AssertionError("lifted step left the approximation order")
     return lifted

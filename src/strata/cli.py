@@ -60,6 +60,13 @@ def _fuel(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """How many checks a campaign makes: at least one, or it passes unchecked."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"count must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, level=False, fuel=True):
     p.add_argument("--calculus", choices=[CBV, CBN], default=CBV)
     if level:
@@ -131,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="randomized campaign for the "
                                       "approximation and lifting laws")
     _add_common(p, fuel=False)
-    p.add_argument("-n", type=int, default=5000)
+    p.add_argument("-n", type=_count, default=5000)
     p.add_argument("--seed", type=int, default=0)
 
     return root

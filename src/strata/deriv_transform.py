@@ -138,8 +138,8 @@ def _uncopy(d: Derivation, body: Term, x: str, system: str
 
 # ---------------------------------------------------------------------------
 # Local transforms per rule, then navigation.  Each takes the derivation
-# of one endpoint's redex or contractum and the other endpoint's term at
-# that position.
+# of one endpoint's redex or contractum, the other endpoint's term at
+# that position, and the type system.
 
 
 def _peel_chain(d: Derivation, n: int | None = None) -> tuple[list[Derivation], Derivation]:
@@ -186,9 +186,7 @@ def _reduce_db(d: Derivation, t: Term, system: str) -> Derivation:
     ds = core.premises[0]
     es = _below(t, len(chain))
     new_core = derive("es", es, ds.ty, (_carry(ds, es.body),) + d.premises[1:])
-    out = _wrap_chain(chain, new_core, t)
-    _check_same_judgment(d, out)
-    return out
+    return _wrap_chain(chain, new_core, t)
 
 
 def _expand_db(d: Derivation, t: Term, system: str) -> Derivation:
@@ -200,12 +198,10 @@ def _expand_db(d: Derivation, t: Term, system: str) -> Derivation:
     arrow = Arrow(ds.env_dict.get(lam.binder, EMPTY), ds.ty)
     d_abs = derive("abs", lam, Mult((arrow,)) if system == SYS_V else arrow, (ds,))
     d_fun = _wrap_chain(chain, d_abs, t.fun)
-    out = derive("app", t, ds.ty, (d_fun,) + des.premises[1:])
-    _check_same_judgment(d, out)
-    return out
+    return derive("app", t, ds.ty, (d_fun,) + des.premises[1:])
 
 
-def _reduce_sv(d: Derivation, t: Term) -> Derivation:
+def _reduce_sv(d: Derivation, t: Term, system: str) -> Derivation:
     if d.rule != "es":
         raise TransformError("sv expects a substitution node")
     db, darg = d.premises
@@ -224,24 +220,20 @@ def _reduce_sv(d: Derivation, t: Term) -> Derivation:
     nd = _carry(db, _below(t, len(chain)), x, split)
     if pool[0].ty != EMPTY:
         raise TransformError(f"value derivation not exhausted: {show_ty(pool[0].ty)} left")
-    out = _wrap_chain(chain, nd, t)
-    _check_same_judgment(d, out)
-    return out
+    return _wrap_chain(chain, nd, t)
 
 
-def _expand_sv(d: Derivation, t: Term) -> Derivation:
+def _expand_sv(d: Derivation, t: Term, system: str) -> Derivation:
     spine, v = _peel_es_spine(t.arg)
     chain, nd = _peel_chain(d, len(spine))
     db, copies = _uncopy(nd, t.body, t.binder, SYS_V)
     dv = _merge_value(copies, v)
     if db.env_dict.get(t.binder, EMPTY) != dv.ty:
         raise TransformError("collected value demand is inconsistent")
-    out = derive("es", t, nd.ty, (db, _wrap_chain(chain, dv, t.arg)))
-    _check_same_judgment(d, out)
-    return out
+    return derive("es", t, nd.ty, (db, _wrap_chain(chain, dv, t.arg)))
 
 
-def _reduce_sn(d: Derivation, t: Term) -> Derivation:
+def _reduce_sn(d: Derivation, t: Term, system: str) -> Derivation:
     if d.rule != "es":
         raise TransformError("sN expects a substitution node")
     pool = list(d.premises[1:])
@@ -255,20 +247,17 @@ def _reduce_sn(d: Derivation, t: Term) -> Derivation:
     out = _carry(d.premises[0], t, d.term.binder, pop)
     if pool:
         raise TransformError("argument derivations left over")
-    _check_same_judgment(d, out)
     return out
 
 
-def _expand_sn(d: Derivation, t: Term) -> Derivation:
+def _expand_sn(d: Derivation, t: Term, system: str) -> Derivation:
     db, copies = _uncopy(d, t.body, t.binder, SYS_N)
-    out = derive("es", t, d.ty, (db,) + tuple(copies))
-    _check_same_judgment(d, out)
-    return out
+    return derive("es", t, d.ty, (db,) + tuple(copies))
 
 
-def _check_same_judgment(old: Derivation, new: Derivation):
-    if new.ty != old.ty or not env_eq(new.env_dict, old.env_dict):
-        raise TransformError("transformation changed the final judgment")
+# the local transform of each rule, in each direction
+_REDUCE = {"dB": _reduce_db, "sv": _reduce_sv, "sN": _reduce_sn}
+_EXPAND = {"dB": _expand_db, "sv": _expand_sv, "sN": _expand_sn}
 
 
 _EDGE_PREMISE = {
@@ -278,12 +267,13 @@ _EDGE_PREMISE = {
 
 
 def _walk(d: Derivation, src: Term, dst: Term, pos: Position, system: str,
-          local) -> Derivation:
+          rule: str, transforms: dict) -> Derivation:
     """A derivation of dst from d, one of src, where src and dst are the
-    endpoints of a step at pos: local(node, sub) turns the derivation of
-    src's subterm at pos into one of dst's subterm sub, and the nodes
-    above it are rebuilt over dst's path.  The premises off the path
-    type subterms that both endpoints share."""
+    endpoints of a step of the rule at pos: the rule's local transform
+    turns the derivation of src's subterm at pos into one of dst's
+    subterm there, with the same judgment, and the nodes above it are
+    rebuilt over dst's path.  The premises off the path type subterms
+    that both endpoints share."""
     if d.term is not src:
         d = _carry(d, src)
     above: list[tuple[Derivation, int]] = []
@@ -296,7 +286,12 @@ def _walk(d: Derivation, src: Term, dst: Term, pos: Position, system: str,
         above.append((d, idx))
         d = d.premises[idx]
     path = path_to(dst, pos)
-    out = local(d, path[-1])
+    local = transforms.get(rule)
+    if local is None:
+        raise TransformError(f"unknown rule {rule}")
+    out = local(d, path[-1], system)
+    if out.ty != d.ty or not env_eq(out.env_dict, d.env_dict):
+        raise TransformError("transformation changed the final judgment")
     for (node, idx), t in zip(reversed(above), reversed(path[:-1])):
         out = derive(node.rule, t, node.ty,
                      node.premises[:idx] + (out,) + node.premises[idx + 1:])
@@ -307,38 +302,14 @@ def reduce_derivation(d: Derivation, step: Step, system: str) -> Derivation:
     """From a derivation of the step's source, one of its target."""
     if not alpha_eq(d.term, step.before):
         raise TransformError("derivation does not type the step's source")
-
-    def local(node: Derivation, t: Term) -> Derivation:
-        match step.rule:
-            case "dB":
-                return _reduce_db(node, t, system)
-            case "sv":
-                return _reduce_sv(node, t)
-            case "sN":
-                return _reduce_sn(node, t)
-            case r:
-                raise TransformError(f"unknown rule {r}")
-
-    return _walk(d, step.before, step.after, step.position, system, local)
+    return _walk(d, step.before, step.after, step.position, system, step.rule, _REDUCE)
 
 
 def expand_derivation(d: Derivation, step: Step, system: str) -> Derivation:
     """From a derivation of the step's target, one of its source."""
     if not alpha_eq(d.term, step.after):
         raise TransformError("derivation does not type the step's target")
-
-    def local(node: Derivation, t: Term) -> Derivation:
-        match step.rule:
-            case "dB":
-                return _expand_db(node, t, system)
-            case "sv":
-                return _expand_sv(node, t)
-            case "sN":
-                return _expand_sn(node, t)
-            case r:
-                raise TransformError(f"unknown rule {r}")
-
-    return _walk(d, step.after, step.before, step.position, system, local)
+    return _walk(d, step.after, step.before, step.position, system, step.rule, _EXPAND)
 
 
 # ---------------------------------------------------------------------------

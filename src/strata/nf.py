@@ -94,7 +94,7 @@ def is_bno(t: Term, calculus: str, k: Level) -> bool:
     no level-k redex and every bot sits strictly below level k."""
     if not is_normal(t, calculus, k):
         return False
-    return all(level_of(t, p, calculus) > k for p in bot_positions(t))
+    return all(level_of(p, calculus) > k for p in bot_positions(t))
 
 
 def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:

@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .summary import AlphaTable, min_level_field
 from .terms import (
     ABS,
     CBN,
@@ -35,10 +34,10 @@ from .terms import (
     NO_REDEX,
     OTHER,
     Abs,
+    AlphaTable,
     App,
     Es,
     Level,
-    OMEGA,
     Position,
     Term,
     Var,
@@ -51,7 +50,6 @@ from .terms import (
     show,
     show_level,
     subst,
-    subterm_at,
     subterms,
     with_child,
 )
@@ -111,13 +109,21 @@ def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
     """All redexes gated at the given level, leftmost-outermost first."""
     return [Redex(pos, rule, lvl) for pos, s in subterms(t)
             if (rule := _rule_at(s, calculus)) is not None
-            and (lvl := level_of(t, pos, calculus)) <= level]
+            and (lvl := level_of(pos, calculus)) <= level]
+
+
+def _min_level(calculus: str) -> attrgetter:
+    """The reader of the node slot that holds the shallowest redex level
+    of a calculus, which is named after it."""
+    if calculus in (CBV, CBN):
+        return attrgetter(calculus)
+    raise ValueError(f"unknown calculus {calculus!r}")
 
 
 def min_redex_level(t: Term, calculus: str) -> Level | None:
     """The smallest level at which t has a redex, or None if t is normal
     even at level omega."""
-    lvl = getattr(t, min_level_field(calculus))
+    lvl = _min_level(calculus)(t)
     return None if lvl == NO_REDEX else float(lvl)
 
 
@@ -133,7 +139,7 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
     into the leftmost child whose summary promises a redex within the
     level.  Only the returned redex gets a position tuple, and it keeps
     the nodes passed on the way."""
-    min_level = attrgetter(min_level_field(calculus))
+    min_level = _min_level(calculus)
     by_value = calculus == CBV
     gate = min(level, _LAST_LEVEL)
     if min_level(t) > gate:
@@ -176,19 +182,6 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
                 depth += 1
 
 
-def redex_at(t: Term, position: Position, calculus: str, level: Level) -> Redex | None:
-    """The redex at a position of t, if there is one and the level lets
-    it through; None otherwise, also for a position not in t."""
-    try:
-        rule = _rule_at(subterm_at(t, position), calculus)
-    except ValueError:
-        return None
-    if rule is None:
-        return None
-    lvl = level_of(t, position, calculus)
-    return Redex(position, rule, lvl) if lvl <= level else None
-
-
 def _rebuild_spine(spine: list[tuple[str, Term]], core: Term) -> Term:
     for binder, arg in reversed(spine):
         core = Es(core, binder, arg)
@@ -211,31 +204,27 @@ def _freshen_spine(t: Term, incoming: frozenset[str]) -> Term:
     return core
 
 
-def _contract(t: Term, rule: str, calculus: str) -> Term:
-    """Contract the root redex of t.  Raises if the rule does not match."""
+def _contract(t: Term, rule: str) -> Term:
+    """Contract the root redex of t, which matches the rule."""
     match rule, t:
         case "dB", App(f, a):
             if isinstance(f, Es):  # a moves under the spine binders
                 f = _freshen_spine(f, free_vars(a))
             spine, core = _peel_es_spine(f)
-            if not isinstance(core, Abs):
-                raise ValueError("dB redex expected")
             return _rebuild_spine(spine, Es(core.body, core.binder, a))
         case "sv", Es(b, x, arg):
             if isinstance(arg, Es):  # b moves under the spine binders
                 arg = _freshen_spine(arg, free_vars(b) - {x})
             spine, v = _peel_es_spine(arg)
-            if not is_value(v):
-                raise ValueError("sv redex expected")
             return _rebuild_spine(spine, subst(b, {x: v}))
         case "sN", Es(b, x, arg):
             return subst(b, {x: arg})
-        case _:
-            raise ValueError(f"rule {rule} does not match at the root")
 
 
 def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
-    """Contract one redex occurrence; re-validates the match first.
+    """Contract one redex occurrence; checks first that the position is
+    in t and that the redex's rule matches there, and raises ValueError
+    if not.  This is the one check of a redex replayed at a position.
 
     The nodes on the way to the redex are those the redex kept when it
     was found on t, or else those of one descent; one ascent rebuilds
@@ -247,7 +236,7 @@ def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
     rule = _rule_at(sub, calculus)
     if rule != redex.rule:
         raise ValueError(f"no {redex.rule} redex at position {''.join(pos) or 'root'}")
-    after = _contract(sub, rule, calculus)
+    after = _contract(sub, rule)
     for i in range(len(pos) - 1, -1, -1):
         after = with_child(path[i], pos[i], after)
     return Step(t, after, pos, rule, redex.level)
@@ -348,7 +337,8 @@ def trace_to_dict(tr: Trace) -> dict:
 
 def step_from_dict(d: dict, calculus: str) -> Step:
     before = parse(d["before"])
-    redex = redex_at(before, tuple(d["position"]), calculus, OMEGA)
-    if redex is None or redex.rule != d["rule"]:
-        raise ValueError("recorded step does not match a redex of its term")
-    return apply_step(before, redex, calculus)
+    pos = tuple(d["position"])
+    try:
+        return apply_step(before, Redex(pos, d["rule"], level_of(pos, calculus)), calculus)
+    except ValueError:
+        raise ValueError("recorded step does not match a redex of its term") from None

@@ -73,7 +73,7 @@ NO_REDEX: Level = float("inf")
 # from run to run as those of strings do.  Fingerprints and levels are
 # kept below 2**30, where an int takes the least memory (and levels
 # below 257 are shared objects); a fingerprint only files the entries
-# of strata.summary.AlphaTable, so its width only costs collisions.
+# of an AlphaTable, so its width only costs collisions.
 _MASK = (1 << 30) - 1
 _NO_NAMES: frozenset[str] = frozenset()
 _BOT = (hash((4,)) & _MASK, OTHER, NO_REDEX, NO_REDEX, _NO_NAMES)
@@ -236,10 +236,6 @@ def path_to(t: Term, pos: Position) -> list[Term]:
     return path
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    return path_to(t, pos)[-1]
-
-
 def with_child(node: Term, edge: str, child: Term) -> Term:
     """A copy of node with child in place of its child along edge."""
     if edge == "b":
@@ -262,13 +258,13 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     return new
 
 
-def level_of(t: Term, pos: Position, calculus: str) -> Level:
+def level_of(pos: Position, calculus: str) -> Level:
     """Depth of a position in the stratification order of the calculus.
 
     Call-by-value counts binders crossed on the path; call-by-name
     counts argument edges (of applications and substitutions) crossed.
+    Only the edges are read: the position is not looked up in a term.
     """
-    subterm_at(t, pos)  # validate
     deep = _deep_edges(calculus)
     return float(sum(1 for e in pos if e in deep))
 
@@ -350,9 +346,8 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
 def canonical(t: Term) -> tuple:
     """Nameless canonical form: equal iff the terms are alpha-equal.
 
-    The program decides alpha-equality with alpha_eq and
-    strata.summary.AlphaTable; these keys are an independent reference
-    to check them against.
+    The program decides alpha-equality with alpha_eq and AlphaTable;
+    these keys are an independent reference to check them against.
     """
 
     def go(t: Term, env: tuple[str, ...]) -> tuple:
@@ -378,6 +373,31 @@ def canonical(t: Term) -> tuple:
 
 def alpha_eq(t: Term, u: Term) -> bool:
     return agree(t, u)
+
+
+class AlphaTable:
+    """A map from terms up to alpha, built from (term, value) entries.
+
+    Entries are filed by fingerprint and free names, which alpha-equal
+    terms share, so a lookup is one dict probe and then alpha_eq on the
+    entries of its row alone."""
+
+    def __init__(self, entries=()):
+        self._rows: dict[tuple[int, frozenset[str]], list[tuple[Term, object]]] = {}
+        for t, value in entries:
+            self.add(t, value)
+
+    def get(self, t: Term):
+        """The value of the first entry alpha-equal to t, or None."""
+        row = self._rows.get((t.fp, t.free))
+        if row:
+            for u, value in row:
+                if alpha_eq(u, t):
+                    return value
+        return None
+
+    def add(self, t: Term, value) -> None:
+        self._rows.setdefault((t.fp, t.free), []).append((t, value))
 
 
 def partial_leq(t: Term, u: Term) -> bool:

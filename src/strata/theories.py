@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import OMEGA, Term, alpha_eq, hole_positions, plug, replace_at
+from .terms import OMEGA, AlphaTable, Term, alpha_eq, hole_positions, plug, replace_at
 from .reduce import Trace, normalize
 from .approx import MEANINGFUL, MEANINGLESS, Oracle
 from .corpus import enumerate_contexts
-from .summary import AlphaTable
 
 LAMBDA = "conversion"
 H = "mute"

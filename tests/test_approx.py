@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import strata.approx
-import strata.summary
 import strata.terms
 from strata import (
     BOT,
@@ -37,8 +36,8 @@ from strata import (
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts
 from strata.genericity import OK
-from strata.summary import AlphaTable
-from strata.terms import OMEGA, canonical
+from strata.reduce import DB, SV, Step
+from strata.terms import OMEGA, AlphaTable, canonical
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -73,8 +72,8 @@ class TestOracle:
 
     def test_a_lookup_walks_only_the_entries_with_its_free_names(self, monkeypatch):
         walks = []
-        alpha_eq = strata.summary.alpha_eq
-        monkeypatch.setattr(strata.summary, "alpha_eq",
+        alpha_eq = strata.terms.alpha_eq
+        monkeypatch.setattr(strata.terms, "alpha_eq",
                             lambda t, u: walks.append(u) or alpha_eq(t, u))
         oracle = Oracle(CBV, 40)
         report = oracle.meaning(parse(r"x (\y.z)"))  # normal: no step, no entry
@@ -334,17 +333,17 @@ class TestApproximateStep:
         s = reduce_once(parse(rf"({ID}) ({ID})"), CBV, 0.0)
         out = approximate_step(s, cbv_oracle)
         assert isinstance(out, Mapped)
-        assert alpha_eq(out.over, parse(rf"x[x\{ID}]"))
-        assert alpha_eq(out.over, meaningful_approximant(s.after, cbv_oracle))
+        assert alpha_eq(out.step.after, parse(rf"x[x\{ID}]"))
+        assert alpha_eq(out.step.after, meaningful_approximant(s.after, cbv_oracle))
 
     def test_substitution_step_may_over_approximate(self, cbv_oracle):
         s = reduce_once(parse(rf"(x (\y.z ({DELTA})))[z\{DELTA}]"), CBV, 0.0)
         out = approximate_step(s, cbv_oracle)
         assert isinstance(out, Mapped)
-        assert alpha_eq(out.over, parse(rf"x (\y.{OMEGA_LOOP})"))
+        assert alpha_eq(out.step.after, parse(rf"x (\y.{OMEGA_LOOP})"))
         after_hat = meaningful_approximant(s.after, cbv_oracle)
         assert alpha_eq(after_hat, parse(r"x (\y.bot)"))
-        assert partial_leq(after_hat, out.over) and not alpha_eq(after_hat, out.over)
+        assert partial_leq(after_hat, out.step.after) and not alpha_eq(after_hat, out.step.after)
 
     def test_mapped_target_always_refines(self, cbv_oracle):
         t = parse(rf"(\y.{ID}) (\z.{OMEGA_LOOP})")
@@ -353,7 +352,15 @@ class TestApproximateStep:
             out = approximate_step(s, cbv_oracle)
             if isinstance(out, Mapped):
                 hat = meaningful_approximant(s.after, cbv_oracle)
-                assert partial_leq(hat, out.over)
+                assert partial_leq(hat, out.step.after)
+
+    def test_a_redex_that_does_not_survive_is_refused(self, cbv_oracle):
+        # (\x.x) y is its own approximant, with a dB redex at the root
+        s = Step(parse(rf"({ID}) y"), parse("y"), (), SV, 0.0)
+        with pytest.raises(AssertionError) as exc:
+            approximate_step(s, cbv_oracle)
+        assert str(exc.value) == \
+            "redex did not survive in the approximant of a meaningful prefix"
 
     def test_undetermined_propagates(self):
         s = reduce_once(parse(rf"x[x\{ID}] ({GROWER})"), CBV, 0.0)
@@ -382,6 +389,12 @@ class TestLift:
         s = self.partial_step()
         with pytest.raises(ValueError):
             lift_step(s, parse("x y"), CBV)
+
+    def test_a_redex_that_vanishes_is_refused(self):
+        s = Step(BOT, BOT, (), DB, 0.0)
+        with pytest.raises(AssertionError) as exc:
+            lift_step(s, parse("x"), CBV)  # x refines bot, but holds no redex
+        assert str(exc.value) == "redex vanished under refinement"
 
     def test_lift_trace_chains(self, cbv_oracle):
         t = parse(rf"(\y.{ID}) (\z.{OMEGA_LOOP})")

@@ -303,3 +303,11 @@ class TestAxioms:
     def test_small_campaign(self, capsys):
         code, out, _ = run(capsys, "axioms", "-n", "50", "--seed", "1")
         assert code == 0 and "ok" in out
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_a_count_below_one_is_a_usage_error(self, capsys, count):
+        """A campaign of no checks would pass having checked nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(["axioms", "-n", count])
+        assert exc.value.code == 3
+        assert "count must be a positive integer" in capsys.readouterr().err

@@ -13,6 +13,7 @@ import pytest
 
 from strata import (
     BOT,
+    Bot,
     CBN,
     CBV,
     OMEGA,
@@ -34,12 +35,16 @@ import strata.terms
 from strata.cli import main
 from strata.corpus import enumerate_terms
 from strata.reduce import (
+    DB,
+    SN,
+    SV,
+    Redex,
+    apply_step,
     leftmost_redex,
     min_redex_level,
-    redex_at,
     trace_to_dict,
 )
-from strata.terms import ABS, Es, Node, free_vars, path_to, subterm_at, subterms
+from strata.terms import ABS, Es, Node, free_vars, path_to, subterms
 
 from conftest import ID, OMEGA_LOOP
 
@@ -105,12 +110,24 @@ class TestAgainstTheFullListing:
                 assert min_redex_level(t, c) == (min(levels) if levels else None), (t, c)
 
     def test_redex_at_matches_the_listing(self, terms):
+        """A redex replayed at a position is checked by apply_step alone:
+        it contracts every listed redex as the listed one does, and
+        refuses every other rule and position, also one below a leaf."""
         for t in terms[::7]:
             for c in CALCULI:
-                for k in LEVELS:
-                    for r in find_redexes(t, c, OMEGA):
-                        expected = r if r.level <= k else None
-                        assert redex_at(t, r.position, c, k) == expected, (t, c, k)
+                listed = {(r.position, r.rule): r for r in find_redexes(t, c, OMEGA)}
+                for pos, s in subterms(t):
+                    for rule in (DB, SV, SN):
+                        r = listed.get((pos, rule))
+                        if r is not None:
+                            replayed = apply_step(t, Redex(pos, rule, r.level), c)
+                            assert replayed == apply_step(t, r, c), (t, c, pos)
+                            continue
+                        with pytest.raises(ValueError):
+                            apply_step(t, Redex(pos, rule, 0.0), c)
+                        if isinstance(s, (Var, Bot)):
+                            with pytest.raises(ValueError):
+                                apply_step(t, Redex(pos + ("l",), rule, 0.0), c)
 
     def test_normalize_stops_at_the_first_repeat(self, terms):
         for t in terms:
@@ -228,7 +245,7 @@ class TestContractionCaches:
                         after = step.after
                         unshared = parse(show(after, rename=False))
                         for pos, s in subterms(after):
-                            assert _summary(s) == _summary(subterm_at(unshared, pos)), (t, c, k, pos)
+                            assert _summary(s) == _summary(path_to(unshared, pos)[-1]), (t, c, k, pos)
                             assert free_vars(s) == _names(s), (t, c, k, pos)
                         checked += 1
         assert checked > 10_000

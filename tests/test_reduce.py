@@ -167,6 +167,17 @@ class TestSerialization:
         assert (s2.position, s2.rule, s2.level) == (s.position, s.rule, s.level)
         assert alpha_eq(s2.before, s.before) and alpha_eq(s2.after, s.after)
 
+    @pytest.mark.parametrize("position,rule", [
+        ("", SV),  # the root holds a dB redex
+        ("rr", DB),  # y has no children
+    ])
+    def test_a_step_that_matches_no_redex_is_refused(self, position, rule):
+        d = {"before": rf"({ID}) y", "after": "y", "position": position,
+             "rule": rule, "level": "0"}
+        with pytest.raises(ValueError) as exc:
+            step_from_dict(d, CBV)
+        assert str(exc.value) == "recorded step does not match a redex of its term"
+
     def test_trace_dict_shape(self):
         tr = normalize(parse(rf"({ID}) ({ID})"), CBV, 0.0)
         d = trace_to_dict(tr)

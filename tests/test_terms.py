@@ -34,8 +34,8 @@ from strata.terms import (
     is_value,
     level_of,
     parse_level,
+    path_to,
     replace_at,
-    subterm_at,
     subterms,
     tokenize,
 )
@@ -240,22 +240,21 @@ class TestAlpha:
 
 class TestLevels:
     def test_cbv_level_counts_abstraction_bodies(self):
-        t = parse(r"\x.\y.(x z)[w\z]")
-        assert level_of(t, ("b", "b", "s"), CBV) == 2.0
-        assert level_of(t, ("b",), CBV) == 1.0
-        assert level_of(t, (), CBV) == 0.0
+        # positions in \x.\y.(x z)[w\z]
+        assert level_of(("b", "b", "s"), CBV) == 2.0
+        assert level_of(("b",), CBV) == 1.0
+        assert level_of((), CBV) == 0.0
 
     def test_cbn_level_counts_argument_edges(self):
-        t = parse(r"x (y z)")
-        assert level_of(t, ("r",), CBN) == 1.0
-        assert level_of(t, ("l",), CBN) == 0.0
-        u = parse(r"(x)[x\y]")
-        assert level_of(u, ("e",), CBN) == 1.0
-        assert level_of(u, ("s",), CBN) == 0.0
+        # positions in x (y z), then in (x)[x\y]
+        assert level_of(("r",), CBN) == 1.0
+        assert level_of(("l",), CBN) == 0.0
+        assert level_of(("e",), CBN) == 1.0
+        assert level_of(("s",), CBN) == 0.0
 
     def test_cbn_level_ignores_abstraction_bodies(self):
-        t = parse(r"\x.\y.x")
-        assert level_of(t, ("b", "b"), CBN) == 0.0
+        # a position in \x.\y.x
+        assert level_of(("b", "b"), CBN) == 0.0
 
 
 class TestPartialOrder:
@@ -345,7 +344,7 @@ def _variant(rng, t):
     shared with it."""
     for _ in range(rng.randint(0, 2)):
         pos = rng.choice(_positions(t))
-        s = subterm_at(t, pos)
+        s = path_to(t, pos)[-1]
         match rng.randrange(4):
             case 0:  # another subterm, bot included
                 s = random_term(rng, rng.randint(1, 4), ("x", "y", "z"), 0.3)
@@ -438,7 +437,7 @@ class TestContexts:
     def test_plug_positions(self):
         c = parse_context(r"x (@ y)")
         t = plug(c, parse(ID))
-        assert alpha_eq(subterm_at(t, ("r", "l")), parse(ID))
+        assert alpha_eq(path_to(t, ("r", "l"))[-1], parse(ID))
 
     def test_context_enumeration_order(self):
         # the judge's context search depends on this order

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import strata.deriv_transform
 import strata.types_core
 
 from strata import (
@@ -33,9 +34,11 @@ from strata import (
 from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.deriv_transform import (
     GenericityContradiction,
+    TransformError,
     expand_derivation,
     reduce_derivation,
 )
+from strata.reduce import Step
 from strata.typecheck import SYS_N, SYS_V
 from strata.types_core import (
     EMPTY,
@@ -395,6 +398,39 @@ class TestReplay:
                               trace.steps[0], system)
         back = expand_derivation(d, trace.steps[0], system)
         assert back.term is t and back == typable(t, calculus)[1]
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_a_transform_that_changes_the_judgment_is_refused(
+            self, monkeypatch, calculus, system):
+        """Every step of (\\x.x x) y is at the root: dB, then sv or sN.
+        Each local transform, made to give the subterm it types another
+        type, is refused, in both directions."""
+        steps = normalize(parse(r"(\x.x x) y"), calculus, 0.0).steps
+        assert [s.position for s in steps] == [(), ()]
+        typed = {id(t): typable(t, calculus)[1]
+                 for s in steps for t in (s.before, s.after)}
+        derive = strata.deriv_transform.derive
+        for step in steps:
+            for replay, src, dst in ((reduce_derivation, step.before, step.after),
+                                     (expand_derivation, step.after, step.before)):
+                monkeypatch.setattr(
+                    strata.deriv_transform, "derive",
+                    lambda rule, t, ty, premises=(), dst=dst: derive(
+                        rule, t, TyVar("changed") if t is dst else ty, premises))
+                with pytest.raises(TransformError) as exc:
+                    replay(typed[id(src)], step, system)
+                assert str(exc.value) == "transformation changed the final judgment"
+                monkeypatch.setattr(strata.deriv_transform, "derive", derive)
+
+    @pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+    def test_an_unknown_rule_is_refused(self, calculus, system):
+        step = normalize(parse(rf"({ID}) y"), calculus, 0.0).steps[0]
+        bogus = Step(step.before, step.after, step.position, "xx", step.level)
+        for replay, src in ((reduce_derivation, step.before),
+                            (expand_derivation, step.after)):
+            with pytest.raises(TransformError) as exc:
+                replay(typable(src, calculus)[1], bogus, system)
+            assert str(exc.value) == "unknown rule xx"
 
 
 class TestExhaustiveReplay:
