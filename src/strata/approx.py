@@ -7,6 +7,20 @@ Meaningless (level-0 reduction is deterministic enough that a cycle on
 the chosen strategy is a genuine loop), and running out of fuel leaves
 the question Unknown.
 
+The leftmost-outermost surface step is a function of the term, up to
+alpha, so a term's surface trace runs on through the trace of each of
+its reducts, and a reduct has the status of the term.  An oracle
+therefore learns the status of every term a decided trace passes
+through, with a bound r on the steps that term's own trace takes to
+decide, and a later trace stops at the first such term it meets after k
+steps with k + r within the fuel: run to the end, it would have decided
+by step k + r, the same way.  For a trace s_0 ... s_n decided at step
+n, r is n - j for s_j when the trace ends in a normal form or s_j comes
+before the cycle; on a cycle back to s_c, with j > c, the trace of s_j
+goes once around it, and r is n - c; in a trace that stopped after k
+steps at a term with bound r', r is k - j + r', an upper bound.  Every
+r is at most the fuel.
+
 The meaningful approximant A(t) prunes the meaningless parts of a term
 down to bot.  A meaningless node collapses to bot exactly when pruning
 its children is not enough to isolate the divergence: either the pruned
@@ -37,7 +51,8 @@ from .terms import (
     level_of,
     partial_leq,
 )
-from .reduce import Redex, Step, apply_step, normalize
+from .reduce import (Redex, Step, Trace, apply_step, check_fuel, min_level_reader,
+                     normalize)
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
@@ -54,13 +69,17 @@ class MeaningReport:
 
 
 class Oracle:
-    """Memoizing meaningfulness oracle for one calculus.  Its memo maps
+    """Memoizing meaningfulness oracle for one calculus.  Its memo of
+    reports and its table of the terms its decided traces passed
+    through, with their status and the bound r on their own traces, map
     terms up to alpha."""
 
     def __init__(self, calculus: str, fuel: int | None = None):
         self.calculus = calculus
-        self.fuel = fuel
+        self.fuel = check_fuel(fuel)
+        self._redex_level = min_level_reader(calculus)
         self._memo = AlphaTable()
+        self._known = AlphaTable()  # term -> (status, r)
         # the last approximant computed: for every node met on the way,
         # by id(node), the node itself (so that its id stays taken) and
         # its approximant
@@ -72,12 +91,44 @@ class Oracle:
             return report
         trace = normalize(t, self.calculus, 0.0, self.fuel)
         status = _STATUS.get(trace.outcome, UNKNOWN)
+        if status != UNKNOWN and self._known.get(t) is None:
+            self._learn(trace)  # a known term's whole trace is known
         report = MeaningReport(status, None if status == UNKNOWN else trace)
         self._memo.add(t, report)
         return report
 
     def status(self, t: Term) -> str:
-        return self.meaning(t).status
+        """The status of meaning(t), from a trace that stops at the first
+        term whose status is known early enough to be the same."""
+        if self._redex_level(t) > 0:  # no surface redex: t is its own normal form
+            return MEANINGFUL
+        known = self._known.get(t)
+        if known is not None:
+            return known[0]
+        report = self._memo.get(t)
+        if report is not None:
+            return report.status
+        trace = normalize(t, self.calculus, 0.0, self.fuel, self._known)
+        if trace.outcome == "fuel":  # it met no known term in time: the whole trace
+            self._memo.add(t, MeaningReport(UNKNOWN))
+            return UNKNOWN
+        return self._learn(trace)
+
+    def _learn(self, trace: Trace) -> str:
+        """Record every term of a decided trace but its last (a normal
+        form, a repeat or a known term) with its status and its bound r;
+        returns the status.  A term met again after a join it was too
+        late for keeps its first bound."""
+        end = len(trace.steps)
+        if trace.outcome == "joined":
+            status, rest = self._known.get(trace.final)
+            end += rest
+        else:
+            status = _STATUS[trace.outcome]
+        loop = len(trace.steps) if trace.cycle_start is None else trace.cycle_start
+        for j, s in enumerate(trace.terms[:len(trace.steps)]):
+            self._known.add(s, (status, end - min(j, loop)))
+        return status
 
 
 @dataclass(frozen=True)
@@ -115,8 +166,8 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         if hit is not None:
             table[id(t)] = hit
             return hit[1]
-        report = oracle.meaning(t)
-        if report.status == UNKNOWN:
+        status = oracle.status(t)
+        if status == UNKNOWN:
             raise _Undecided(pos)
         match t:
             case Abs(x, b):
@@ -130,7 +181,7 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
-        if report.status == MEANINGLESS and _inseparable(hat, oracle, pos):
+        if status == MEANINGLESS and _inseparable(hat, oracle, pos):
             hat = BOT
         table[id(t)] = (t, hat)
         return hat

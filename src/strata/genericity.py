@@ -233,19 +233,21 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0) -> AxiomReport:
 
 def reproduce_violation(v: dict) -> bool:
     """Replay a violation certificate from axiom_suite; True when the
-    recorded failure still occurs."""
+    recorded failure still occurs.  A step or term that does not decode
+    is a ValueError, never a replayed failure."""
     calculus = v["calculus"]
     kind = v["kind"]
     if kind == "approximate":
+        step = step_from_dict(v["step"], calculus)
         try:
-            approximate_step(step_from_dict(v["step"], calculus),
-                             Oracle(calculus, AXIOM_FUEL))
+            approximate_step(step, Oracle(calculus, AXIOM_FUEL))
         except AssertionError:
             return True
         return False
     if kind == "lift":
+        step, refined = step_from_dict(v["step"], calculus), parse(v["refined"])
         try:
-            lift_step(step_from_dict(v["step"], calculus), parse(v["refined"]), calculus)
+            lift_step(step, refined, calculus)
         except (AssertionError, ValueError):
             return True
         return False

@@ -41,11 +41,13 @@ from .terms import (
     Position,
     Term,
     Var,
+    alpha_eq,
     fresh_name,
     free_vars,
     is_value,
     level_of,
     parse,
+    parse_level,
     path_to,
     show,
     show_level,
@@ -112,7 +114,7 @@ def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
             and (lvl := level_of(pos, calculus)) <= level]
 
 
-def _min_level(calculus: str) -> attrgetter:
+def min_level_reader(calculus: str) -> attrgetter:
     """The reader of the node slot that holds the shallowest redex level
     of a calculus, which is named after it."""
     if calculus in (CBV, CBN):
@@ -123,7 +125,7 @@ def _min_level(calculus: str) -> attrgetter:
 def min_redex_level(t: Term, calculus: str) -> Level | None:
     """The smallest level at which t has a redex, or None if t is normal
     even at level omega."""
-    lvl = _min_level(calculus)(t)
+    lvl = min_level_reader(calculus)(t)
     return None if lvl == NO_REDEX else float(lvl)
 
 
@@ -139,7 +141,7 @@ def leftmost_redex(t: Term, calculus: str, level: Level) -> Redex | None:
     into the leftmost child whose summary promises a redex within the
     level.  Only the returned redex gets a position tuple, and it keeps
     the nodes passed on the way."""
-    min_level = _min_level(calculus)
+    min_level = min_level_reader(calculus)
     by_value = calculus == CBV
     gate = min(level, _LAST_LEVEL)
     if min_level(t) > gate:
@@ -252,9 +254,9 @@ def reduce_once(t: Term, calculus: str, level: Level) -> Step | None:
 class Trace:
     """Outcome of a bounded normalization run.
 
-    outcome is one of "normal", "cycle", "fuel"; for a cycle,
-    cycle_start is the index in terms of the first occurrence of the
-    repeated term.
+    outcome is one of "normal", "cycle", "fuel", and "joined" for a run
+    that stopped at a term of its known table; for a cycle, cycle_start
+    is the index in terms of the first occurrence of the repeated term.
     """
 
     start: Term
@@ -273,7 +275,18 @@ class Trace:
         return (self.start, *(s.after for s in self.steps))
 
 
-def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
+def check_fuel(fuel: int | None) -> int:
+    """The fuel itself, or DEFAULT_FUEL for None; negative fuel is a
+    ValueError."""
+    if fuel is None:
+        return DEFAULT_FUEL
+    if fuel < 0:
+        raise ValueError(f"fuel must be a natural number, got {fuel}")
+    return fuel
+
+
+def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None,
+              known: AlphaTable | None = None) -> Trace:
     """Reduce with the leftmost-outermost strategy until a normal form,
     a repeated term (up to alpha), or fuel exhaustion.
 
@@ -284,11 +297,14 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> 
     The terms met so far are kept in an AlphaTable, so the first repeat
     found is the first term alpha-equal to an earlier one.
     leftmost_redex and apply_step are looked up at each call, so a
-    caller may patch them to observe every step."""
-    if fuel is None:
-        fuel = DEFAULT_FUEL
-    if fuel < 0:
-        raise ValueError(f"fuel must be a natural number, got {fuel}")
+    caller may patch them to observe every step.
+
+    known maps terms to pairs whose second item bounds the steps the
+    term's own run takes to end in a normal form or a cycle.  With it,
+    the run stops as "joined" at the first term after the start whose
+    bound, added to the steps taken, is within the fuel: the whole run
+    would have ended as that term's does, within the fuel."""
+    fuel = check_fuel(fuel)
     steps: list[Step] = []
     seen = AlphaTable([(t, 0)])  # each term met, with its index
     cur = t
@@ -304,6 +320,10 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> 
         i = seen.get(cur)
         if i is not None:
             return Trace(t, calculus, level, tuple(steps), "cycle", i)
+        if known is not None:
+            hit = known.get(cur)
+            if hit is not None and len(steps) + hit[1] <= fuel:
+                return Trace(t, calculus, level, tuple(steps), "joined")
         seen.add(cur, len(steps))
 
 
@@ -336,9 +356,17 @@ def trace_to_dict(tr: Trace) -> dict:
 
 
 def step_from_dict(d: dict, calculus: str) -> Step:
+    """Replay a recorded step on its source; a ValueError unless its
+    position holds a redex of its rule, its level is that of the
+    position and its target is the contraction, up to alpha."""
     before = parse(d["before"])
     pos = tuple(d["position"])
+    level = level_of(pos, calculus)
     try:
-        return apply_step(before, Redex(pos, d["rule"], level_of(pos, calculus)), calculus)
+        step = apply_step(before, Redex(pos, d["rule"], level), calculus)
     except ValueError:
-        raise ValueError("recorded step does not match a redex of its term") from None
+        step = None
+    if (step is None or parse_level(d["level"]) != level
+            or not alpha_eq(step.after, parse(d["after"]))):
+        raise ValueError("recorded step does not match a redex of its term")
+    return step

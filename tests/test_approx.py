@@ -1,6 +1,7 @@
 """Meaningfulness oracle, approximants, and the step
 approximation/lifting machinery."""
 
+import random
 import sys
 
 import pytest
@@ -34,7 +35,7 @@ from strata import (
     stratified_genericity_check,
 )
 from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
-from strata.corpus import enumerate_contexts
+from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.genericity import OK
 from strata.reduce import DB, SV, Step
 from strata.terms import OMEGA, AlphaTable, canonical
@@ -84,6 +85,98 @@ class TestOracle:
         # an alpha-variant: one walk, and the memo's report
         assert oracle.meaning(parse(r"x (\w.z)")) is report
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    @pytest.mark.parametrize("text", ["x", r"\y.z", OMEGA_LOOP, GROWER])
+    def test_negative_fuel_is_an_error_even_on_a_normal_term(self, calculus, text):
+        with pytest.raises(ValueError, match="fuel must be a natural number"):
+            Oracle(calculus, -1).status(parse(text))
+        with pytest.raises(ValueError, match="fuel must be a natural number"):
+            Oracle(calculus, -1).meaning(parse(text))
+
+    @pytest.mark.parametrize("text", ["x", OMEGA_LOOP])
+    def test_an_unknown_calculus_is_an_error(self, text):
+        with pytest.raises(ValueError, match="unknown calculus 'cbx'"):
+            Oracle("cbx").status(parse(text))
+        with pytest.raises(ValueError, match="unknown calculus 'cbx'"):
+            Oracle("cbx").meaning(parse(text))
+
+
+# The oracle's table of known statuses: a trace stops at a term an
+# earlier trace decided only when its bound, added to the steps taken,
+# is within the fuel, so every answer is that of a trace run in full.
+
+JOIN_FUELS = (0, 1, 2, 3, 5, 8, 20, 60)
+JOIN_FILLERS = (OMEGA_LOOP, GROWER, r"\z.z",
+                r"(\m.\n.\f.\x.m f (n f x)) (\f.\x.f x) (\f.\x.f (f x))",
+                rf"x ({OMEGA_LOOP})")
+
+
+def _join_corpus(term_size, context_size):
+    """Every term up to term_size and every context up to context_size
+    plugged with each filler, shuffled, so that the traces of terms
+    asked later run into the reducts of terms asked earlier."""
+    fillers = [parse(f) for f in JOIN_FILLERS]
+    corpus = list(enumerate_terms(term_size))
+    corpus += [plug(ctx, f) for ctx in enumerate_contexts(context_size) for f in fillers]
+    random.Random(0).shuffle(corpus)
+    return corpus
+
+
+def _fresh_status(t, calculus, fuel):
+    outcome = normalize(t, calculus, 0.0, fuel).outcome
+    return {"normal": MEANINGFUL, "cycle": MEANINGLESS}.get(outcome, UNKNOWN)
+
+
+def _status_mismatches(corpus, calculus, fuel):
+    oracle = Oracle(calculus, fuel)
+    return [t for t in corpus if oracle.status(t) != _fresh_status(t, calculus, fuel)]
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_a_shared_oracle_answers_as_a_fresh_normalize(calculus):
+    corpus = _join_corpus(6, 4)
+    assert len(corpus) == 1952
+    for fuel in JOIN_FUELS:
+        assert _status_mismatches(corpus, calculus, fuel) == [], fuel
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_a_shared_oracle_answers_as_a_fresh_normalize_on_larger_terms(calculus):
+    corpus = _join_corpus(7, 5)
+    for fuel in JOIN_FUELS:
+        assert _status_mismatches(corpus, calculus, fuel) == [], fuel
+
+
+class TestJoinOneStepTooLate:
+    """A trace that meets a known term one step too late for the fuel
+    would decide one step after the fuel runs out: it stays unknown."""
+
+    def _too_late(self, calculus, learned, text, fuel):
+        t = parse(text)
+        assert normalize(t, calculus, 0.0, fuel).outcome == "fuel"
+        assert normalize(t, calculus, 0.0, fuel + 1).outcome == "cycle"
+        oracle = Oracle(calculus, fuel)
+        assert oracle.status(parse(learned)) == MEANINGLESS
+        assert oracle.status(t) == UNKNOWN
+        oracle = Oracle(calculus, fuel + 1)
+        assert oracle.status(parse(learned)) == MEANINGLESS
+        assert oracle.status(t) == MEANINGLESS
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_a_term_on_a_cycle(self, calculus):
+        # after Omega's trace, its reduct (x x)[x\w.w w] is known with
+        # bound 2 (once round the cycle), not 1; the term below reaches
+        # it in 2 steps and decides at step 4
+        self._too_late(calculus, OMEGA_LOOP, rf"(\y.(x x)[x\{DELTA}]) z", 3)
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_a_term_before_a_cycle(self, calculus):
+        # (\y.Omega) z, two steps before its cycle, decides at step 4;
+        # the term below reaches it in 2 steps and decides at step 6
+        learned = rf"(\y.{OMEGA_LOOP}) z"
+        self._too_late(calculus, learned, rf"(\u.{learned}) v", 5)
 
 
 def _refuse_canonical(monkeypatch):
@@ -296,9 +389,9 @@ class TestApproximantTable:
         step = reduce_once(parse(rf"x (\y.y) (({ID}) z)"), CBV, 0.0)
         meaningful_approximant(step.before, oracle)
         asked = []
-        meaning = Oracle.meaning
-        monkeypatch.setattr(Oracle, "meaning",
-                            lambda self, t: asked.append(t) or meaning(self, t))
+        status = Oracle.status
+        monkeypatch.setattr(Oracle, "status",
+                            lambda self, t: asked.append(t) or status(self, t))
         meaningful_approximant(step.after, oracle)
         # the new root and the contractum i[i\z], whose children were met
         # before

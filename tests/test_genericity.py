@@ -124,6 +124,20 @@ class TestCertificateReplay:
         cert["refined"] = show(p("x y"))
         assert reproduce_violation(cert) is True
 
+    @pytest.mark.parametrize("kind", ["lift", "approximate"])
+    @pytest.mark.parametrize("step", [
+        # y, at position rr, has no children
+        {"before": rf"({ID}) y", "after": "y", "position": "rr", "rule": "dB",
+         "level": "0"},
+        # the root's dB redex, with a target that is not its contraction
+        {"before": rf"({ID}) y", "after": "y", "position": "", "rule": "dB",
+         "level": "0"},
+    ])
+    def test_a_certificate_whose_step_does_not_decode_is_an_error(self, kind, step):
+        cert = {"kind": kind, "calculus": CBV, "step": step, "refined": rf"({ID}) y"}
+        with pytest.raises(ValueError, match="does not match a redex"):
+            reproduce_violation(cert)
+
     def test_sound_steps_replay_as_non_violations(self):
         cert, step = self._step_cert("approximate", CBV, rf"({ID}) ({ID})")
         assert reproduce_violation(cert) is False

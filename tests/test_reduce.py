@@ -178,6 +178,23 @@ class TestSerialization:
             step_from_dict(d, CBV)
         assert str(exc.value) == "recorded step does not match a redex of its term"
 
+    @pytest.mark.parametrize("after,level", [
+        ("zzz", "0"),  # not the contraction
+        (r"x[x\z]", "0"),  # the contraction of another argument
+        (r"x[x\y]", "7"),  # not the level of the root
+    ])
+    def test_a_step_with_another_target_or_level_is_refused(self, after, level):
+        d = {"before": rf"({ID}) y", "after": after, "position": "", "rule": DB,
+             "level": level}
+        with pytest.raises(ValueError) as exc:
+            step_from_dict(d, CBV)
+        assert str(exc.value) == "recorded step does not match a redex of its term"
+
+    def test_the_target_is_compared_up_to_alpha(self):
+        d = {"before": r"(\a.\b.a b) y", "after": r"(\c.a c)[a\y]",
+             "position": "", "rule": DB, "level": "0"}
+        assert step_from_dict(d, CBV).rule == DB
+
     def test_trace_dict_shape(self):
         tr = normalize(parse(rf"({ID}) ({ID})"), CBV, 0.0)
         d = trace_to_dict(tr)

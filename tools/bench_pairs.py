@@ -10,8 +10,11 @@ the two sides alternating which runs first.  For every end-to-end metric
 the output gives each side's median and quartiles, every run's value,
 and how many pairs the change won, in the metric's better direction
 (ties count for neither).
-It also times ``enumerate_terms(9)`` in a fresh process per side and
-run, with that process's peak RSS.  Standard library only.
+It also makes one ``--trace 1 --seconds 0`` run per side and workload
+at ``SEED`` and records its ``reduce.steps`` and every ``.calls``
+counter, which show where work was saved on any host.  It also times
+``enumerate_terms(9)`` in a fresh process per side and run, with that
+process's peak RSS.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,11 +44,19 @@ print(n, time.perf_counter() - start,
 """
 
 
-def run_benchmark(root: Path, workload: str) -> dict:
+def run_benchmark(root: Path, workload: str, seconds: float = SECONDS,
+                  trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def work_counters(root: Path, workload: str) -> dict:
+    """reduce.steps and every .calls counter of one traced run."""
+    metrics = run_benchmark(root, workload, 0, 1)["metrics"]
+    return {name: m["value"] for name, m in metrics.items()
+            if name == "reduce.steps" or name.endswith(".calls")}
 
 
 def run_enumerate(root: Path) -> dict:
@@ -81,7 +92,8 @@ def main() -> None:
 
     report = {
         "settings": {"pairs": PAIRS, "seed": SEED, "seconds": SECONDS,
-                     "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)"},
+                     "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)",
+                     "counters": "one --trace 1 --seconds 0 run per side"},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system(), "cpus": os.cpu_count()},
         "workloads": {},
@@ -104,6 +116,7 @@ def main() -> None:
                     [r["metrics"][m["name"]] for r in runs["parent"]],
                     [r["metrics"][m["name"]] for r in runs["change"]], m["better"])}
                 for m in spec["end_to_end"]},
+            "counters": {side: work_counters(sides[side], name) for side in sides},
         }
     enum = {side: [] for side in sides}
     for i in range(PAIRS):
