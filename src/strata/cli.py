@@ -237,9 +237,11 @@ def _dispatch(args) -> int:
         case "judge":
             j = judge(parse(args.left), parse(args.right), args.calculus, args.fuel)
             for th in THEORIES:
-                v = j[th]
-                why = f" ({v.certificate.describe()})" if v.certificate else ""
-                print(f"{th}: {v.result}{why}")
+                c = j[th].certificate
+                why = c.describe() if c else ""
+                if c and c.kind == "context-witness":
+                    why += f": {show(c.data['context'])}"
+                print(f"{th}: {j[th].result}" + (f" ({why})" if why else ""))
             result = j[args.theory].result
             return {EQUAL: 0, NOT_EQUAL: 1}.get(result, 2)
         case "axioms":

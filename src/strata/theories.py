@@ -12,11 +12,13 @@ is backed by a certificate that can be re-verified from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
-from .terms import OMEGA, AlphaTable, Term, alpha_eq, hole_positions, plug, replace_at
+from .terms import (OMEGA, AlphaTable, Position, Term, Var, alpha_eq, hole_positions, plug,
+                    replace_at, subst)
 from .reduce import Trace, normalize
-from .approx import MEANINGFUL, MEANINGLESS, Oracle
+from .approx import MEANINGFUL, MEANINGLESS, UNKNOWN as UNDECIDED, Oracle
 from .corpus import enumerate_contexts
 
 LAMBDA = "conversion"
@@ -78,13 +80,39 @@ def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
     return next((r for r in tr_u.terms if seen.get(r)), None)
 
 
-def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
-    """Search small contexts for one whose pluggings differ in
-    meaningfulness; a witness refutes observational equivalence."""
-    oracle = Oracle(calculus, CONTEXT_FUEL)
+_SWAP_XY = {"x": Var("y"), "y": Var("x")}
+
+
+@cache
+def _contexts() -> list[tuple[Term, Position, bool]]:
+    """The contexts of the search, smallest first, each with the position
+    of its hole and whether it comes before its x<->y mirror; built once,
+    on first use."""
+    table, seen = [], AlphaTable()
     for ctx in enumerate_contexts(CONTEXT_SIZE):
         (hole,) = hole_positions(ctx)
+        table.append((ctx, hole, seen.get(subst(ctx, _SWAP_XY)) is None))
+        seen.add(ctx, True)
+    return table
+
+
+def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
+    """Search small contexts for one whose pluggings differ in
+    meaningfulness; a witness refutes observational equivalence.
+
+    When neither term has x or y free, plugging into a context's x<->y
+    mirror gives the mirror of each plugging, whose surface trace is the
+    mirror of the first one step by step: only the first context of each
+    mirror pair is tried.  u is not plugged where t's plugging is
+    undecided."""
+    oracle = Oracle(calculus, CONTEXT_FUEL)
+    mirrored = _SWAP_XY.keys().isdisjoint(t.free | u.free)
+    for ctx, hole, first in _contexts():
+        if mirrored and not first:
+            continue
         mt = oracle.status(replace_at(ctx, hole, t))
+        if mt == UNDECIDED:
+            continue
         mu = oracle.status(replace_at(ctx, hole, u))
         if {mt, mu} == {MEANINGFUL, MEANINGLESS}:
             return ctx
@@ -115,19 +143,25 @@ def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
     if mt.status == MEANINGLESS and mu.status == MEANINGLESS:
         return certify("both-meaningless", {"left": mt, "right": mu})
 
+    def separate() -> None:
+        """Certify a separating context, if the search finds one.  It
+        plugs each side's normal form at omega, which has the side's
+        status in every context, or the side itself when it has none."""
+        left, right = (tr.final if tr.outcome == "normal" else tr.start
+                       for tr in (tr_t, tr_u))
+        witness = falsify_observational(left, right, calculus)
+        if witness is not None:
+            certify("context-witness", {"context": witness, "left": left, "right": right})
+
     if tr_t.outcome == "normal" and tr_u.outcome == "normal" \
             and not alpha_eq(tr_t.final, tr_u.final):
-        witness = falsify_observational(t, u, calculus)
-        if witness is not None:  # the normal forms then decide H
-            certify("context-witness", {"context": witness})
+        separate()  # the normal forms then decide H
         return certify("distinct-normal-forms", {"left": tr_t.final, "right": tr_u.final})
 
     if {mt.status, mu.status} == {MEANINGFUL, MEANINGLESS}:
         return certify("meaningfulness-separation", {"left": mt, "right": mu})
 
-    witness = falsify_observational(t, u, calculus)
-    if witness is not None:
-        return certify("context-witness", {"context": witness})
+    separate()
     return Judgment(t, u, calculus, verdicts)
 
 
@@ -135,6 +169,14 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
     """Re-check every non-Unknown verdict's certificate from scratch,
     and that the certificate proves that verdict in that theory."""
     oracle = Oracle(j.calculus, fuel)
+    traces: dict[str, Trace] = {}
+
+    def omega(side: str) -> Trace:
+        """The trace at omega of the left or right term, made once."""
+        if side not in traces:
+            traces[side] = normalize(getattr(j, side), j.calculus, OMEGA, fuel)
+        return traces[side]
+
     for theory, v in j.verdicts.items():
         if v.result == UNKNOWN:
             continue
@@ -146,9 +188,7 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
             return False
         match c.kind:
             case "common-reduct":
-                tr_t = normalize(j.left, j.calculus, OMEGA, fuel)
-                tr_u = normalize(j.right, j.calculus, OMEGA, fuel)
-                if _common_reduct(tr_t, tr_u) is None:
+                if _common_reduct(omega("left"), omega("right")) is None:
                     return False
             case "both-meaningless":
                 if oracle.status(j.left) != MEANINGLESS:
@@ -156,8 +196,7 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
                 if oracle.status(j.right) != MEANINGLESS:
                     return False
             case "distinct-normal-forms":
-                tr_t = normalize(j.left, j.calculus, OMEGA, fuel)
-                tr_u = normalize(j.right, j.calculus, OMEGA, fuel)
+                tr_t, tr_u = omega("left"), omega("right")
                 if tr_t.outcome != "normal" or tr_u.outcome != "normal":
                     return False
                 if alpha_eq(tr_t.final, tr_u.final):
@@ -167,8 +206,17 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
                 if pair != {MEANINGFUL, MEANINGLESS}:
                     return False
             case "context-witness":
-                ctx = c.data["context"]
-                pair = {oracle.status(plug(ctx, j.left)), oracle.status(plug(ctx, j.right))}
-                if pair != {MEANINGFUL, MEANINGLESS}:
+                # each plugged term, when recorded, is its side or the
+                # side's normal form at omega
+                plugged = []
+                for side in ("left", "right"):
+                    term = getattr(j, side)
+                    s = c.data.get(side, term)
+                    if not alpha_eq(s, term):
+                        tr = omega(side)
+                        if tr.outcome != "normal" or not alpha_eq(tr.final, s):
+                            return False
+                    plugged.append(oracle.status(plug(c.data["context"], s)))
+                if set(plugged) != {MEANINGFUL, MEANINGLESS}:
                     return False
     return True

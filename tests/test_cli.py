@@ -288,6 +288,12 @@ class TestGenericityAndJudge:
         for th in ("conversion", "mute", "observational"):
             assert th in out
 
+    def test_judge_prints_the_separating_context(self, capsys):
+        code, out, _ = run(capsys, "judge", r"\z.(\w.w w) (\w.w w)", r"\z.z")
+        assert code == 1
+        assert "observational: not-equal (a context separates the terms' " \
+               "meaningfulness: @ x)" in out.splitlines()
+
     def test_judge_theory_selects_the_exit_code(self, capsys):
         args = ("judge", ID, r"\x.\y.x y")
         assert run(capsys, *args, "--theory", "mute")[0] == 1

@@ -2,6 +2,9 @@
 plain conversion, the theory that equates all mute (meaningless)
 terms, and the observational theory."""
 
+import itertools
+import random
+
 import pytest
 
 from strata import (
@@ -10,15 +13,21 @@ from strata import (
     H,
     HSTAR,
     LAMBDA,
+    OMEGA,
     THEORIES,
+    Oracle,
+    alpha_eq,
     falsify_observational,
     judge,
+    normalize,
     parse_context,
     plug,
     reverify,
     show,
 )
-from strata.theories import Certificate, Judgment, Verdict
+from strata.approx import MEANINGFUL, MEANINGLESS
+from strata.corpus import enumerate_contexts
+from strata.theories import CONTEXT_FUEL, CONTEXT_SIZE, Certificate, Judgment, Verdict
 
 from conftest import DELTA, ID, OMEGA_LOOP, p
 
@@ -104,6 +113,82 @@ class TestContextSearch:
     def test_no_witness_for_identical_terms(self):
         assert falsify_observational(p(ID), p(ID), CBV) is None
 
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_the_certificate_records_the_plugged_normal_forms(self, calculus):
+        j = judge(p(rf"({ID}) (\x.x x)"), p(r"(\x.x) (\x.x)"), calculus)
+        data = j[HSTAR].certificate.data
+        assert alpha_eq(data["left"], p(r"\x.x x"))
+        assert alpha_eq(data["right"], p(r"\x.x"))
+        assert reverify(j)
+
+
+def reference_search(t, u, calculus):
+    """The separating-context search in its plainest form: every
+    context, with the terms plugged as given."""
+    oracle = Oracle(calculus, CONTEXT_FUEL)
+    for ctx in enumerate_contexts(CONTEXT_SIZE):
+        if {oracle.status(plug(ctx, t)), oracle.status(plug(ctx, u))} == {MEANINGFUL, MEANINGLESS}:
+            return ctx
+    return None
+
+
+def judge_search(t, u, calculus):
+    """The search as judge runs it, on the normal form of each side
+    that has one."""
+    def plugged(s):
+        tr = normalize(s, calculus, OMEGA)
+        return tr.final if tr.outcome == "normal" else s
+    return falsify_observational(plugged(t), plugged(u), calculus)
+
+
+def assert_same_witnesses(pairs, calculus) -> int:
+    """The judge's search finds the reference's witness, or none where
+    it finds none, on every pair; returns how many witnesses."""
+    found = 0
+    for left, right in pairs:
+        t, u = p(left), p(right)
+        expected, got = reference_search(t, u, calculus), judge_search(t, u, calculus)
+        if expected is None:
+            assert got is None, (left, right)
+        else:
+            assert got is not None and alpha_eq(got, expected), (left, right)
+            found += 1
+    return found
+
+
+def _church(n):
+    return r"\f.\x." + "f (" * n + "x" + ")" * n
+
+
+ADD_1_1 = rf"(\m.\n.\f.\x.m f (n f x)) ({_church(1)}) ({_church(1)})"
+# small terms without self-application, as the benchmark judges
+POOL = ["x", "y", "x y", "y x", r"x (\z.z)", r"\z.x", r"\x.x", r"\x.\y.x",
+        r"\x.\y.y", r"\x.x y", r"\x.y x", r"\f.\x.f x", r"\x.\y.x y",
+        r"(\a.a) y", r"(z)[z\x]", r"(x z)[z\\a.a]"]
+FILLERS = [OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})"]
+FIXED_TERMS = FILLERS + [ADD_1_1, _church(2), _church(3),
+                         r"\x.x", r"x (\z.z)", r"\x.\y.x", r"(\a.a) y"]
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_the_search_finds_the_reference_witnesses_on_fixed_pairs(calculus):
+    assert assert_same_witnesses(itertools.combinations(FIXED_TERMS, 2), calculus) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_the_search_finds_the_reference_witnesses_on_a_corpus(calculus):
+    # 350 pairs per calculus in the benchmark's families: a term against
+    # a loop applied to another, a loop against a loop applied to a
+    # term, and two terms
+    rng = random.Random(f"witnesses/{calculus}")
+    pairs = []
+    for _ in range(350):
+        t, u = rng.sample(POOL + FILLERS, 2)
+        pairs.append(rng.choice([(t, f"({u}) ({OMEGA_LOOP})"),
+                                 (OMEGA_LOOP, f"({OMEGA_LOOP}) ({t})"), (t, u)]))
+    assert assert_same_witnesses(pairs, calculus) > 0
+
 
 class TestCertificates:
     def test_every_certificate_describes_itself(self):
@@ -137,6 +222,9 @@ TAMPERED = [
     ("distinct-normal-forms", ID, r"\y.y", {}),
     ("meaningfulness-separation", ID, r"\y.y", {}),
     ("context-witness", ID, r"\x.\y.x y", {"context": parse_context("@")}),
+    # the recorded plugging separates, but is not the left term's normal form
+    ("context-witness", ID, OMEGA_LOOP,
+     {"context": parse_context("@"), "left": p(r"\x.\y.x")}),
     ("no-such-kind", ID, ID, {}),
 ]
 

@@ -6,12 +6,13 @@ PARENT and CHANGE are the roots of two checkouts (for example one made
 with ``git archive`` of the parent commit, and this one).  For every
 workload of ``BENCHMARK.json``, ``perfbench/run.py`` runs ``PAIRS``
 times in each checkout with ``--seed SEED --seconds SECONDS --trace 0``,
-the two sides alternating which runs first.  For every end-to-end metric
-the output gives each side's median and quartiles, every run's value,
-and how many pairs the change won, in the metric's better direction
-(ties count for neither).
+the two sides alternating which runs first; ``--seed`` replaces
+``SEED``, to confirm a result at another seed.  For every end-to-end
+metric the output gives each side's median and quartiles, every run's
+value, and how many pairs the change won, in the metric's better
+direction (ties count for neither).
 It also makes one ``--trace 1 --seconds 0`` run per side and workload
-at ``SEED`` and records its ``reduce.steps`` and every ``.calls``
+at that seed and records its ``reduce.steps`` and every ``.calls``
 counter, which show where work was saved on any host.  It also times
 ``enumerate_terms(9)`` in a fresh process per side and run, with that
 process's peak RSS.  Standard library only.
@@ -44,17 +45,17 @@ print(n, time.perf_counter() - start,
 """
 
 
-def run_benchmark(root: Path, workload: str, seconds: float = SECONDS,
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float = SECONDS,
                   trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def work_counters(root: Path, workload: str) -> dict:
+def work_counters(root: Path, workload: str, seed: int) -> dict:
     """reduce.steps and every .calls counter of one traced run."""
-    metrics = run_benchmark(root, workload, 0, 1)["metrics"]
+    metrics = run_benchmark(root, workload, seed, 0, 1)["metrics"]
     return {name: m["value"] for name, m in metrics.items()
             if name == "reduce.steps" or name.endswith(".calls")}
 
@@ -86,12 +87,13 @@ def main() -> None:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seed", type=int, default=SEED)
     args = ap.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
-        "settings": {"pairs": PAIRS, "seed": SEED, "seconds": SECONDS,
+        "settings": {"pairs": PAIRS, "seed": args.seed, "seconds": SECONDS,
                      "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)",
                      "counters": "one --trace 1 --seconds 0 run per side"},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
@@ -104,7 +106,7 @@ def main() -> None:
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_benchmark(sides[side], name)
+                result = run_benchmark(sides[side], name, args.seed)
                 runs[side].append(result)
                 print(f"# {name} pair {i} {side}: steps_per_s "
                       f"{result['metrics']['steps_per_s']['value']:.0f}", file=sys.stderr)
@@ -116,7 +118,8 @@ def main() -> None:
                     [r["metrics"][m["name"]] for r in runs["parent"]],
                     [r["metrics"][m["name"]] for r in runs["change"]], m["better"])}
                 for m in spec["end_to_end"]},
-            "counters": {side: work_counters(sides[side], name) for side in sides},
+            "counters": {side: work_counters(sides[side], name, args.seed)
+                         for side in sides},
         }
     enum = {side: [] for side in sides}
     for i in range(PAIRS):
