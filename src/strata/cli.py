@@ -238,7 +238,7 @@ def _dispatch(args) -> int:
             j = judge(parse(args.left), parse(args.right), args.calculus, args.fuel)
             for th in THEORIES:
                 c = j[th].certificate
-                why = c.describe() if c else ""
+                why = c.describe() if c else j[th].reason
                 if c and c.kind == "context-witness":
                     why += f": {show(c.data['context'])}"
                 print(f"{th}: {j[th].result}" + (f" ({why})" if why else ""))

@@ -536,12 +536,17 @@ class _Parser:
         return name
 
     def term(self) -> Term:
-        if self.peek() == "\\":
+        # a chain of binders is read in a loop, not by recursion; the
+        # tokens are read directly, as every term and subterm passes here
+        tokens, binders = self.tokens, []
+        while tokens[self.i][0] == "\\":
             self.i += 1
-            x = self.ident()
+            binders.append(self.ident())
             self.expect(".")
-            return Abs(x, self.term())
-        return self.app()
+        t = self.app()
+        while binders:
+            t = Abs(binders.pop(), t)
+        return t
 
     def app(self) -> Term:
         t = self.postfix()
@@ -626,16 +631,9 @@ def show(t: Term, rename: bool = True) -> str:
     names = (n for i in itertools.count() if (n := f"x{i}") not in free)
     printed: dict[str, str | None] = {}  # the printed name of each binder in scope
 
-    def under(x: str, b: Term, prec: int) -> tuple[str, str]:
-        """The printed name of binder x, and the text of its scope b."""
-        outer = printed.get(x)
-        name = printed[x] = next(names) if rename else x
-        body = text(b, prec)
-        printed[x] = outer
-        return name, body
-
     # prec 0: term, 1: application element (function side),
-    # 2: atom (argument side or substitution target)
+    # 2: atom (argument side or substitution target).  A chain of
+    # binders and an application spine are each printed in a loop.
     def text(t: Term, prec: int) -> str:
         match t:
             case Var(x):
@@ -644,15 +642,30 @@ def show(t: Term, rename: bool = True) -> str:
                 return "bot"
             case Hole():
                 return "@"
-            case Abs(x, b):
-                name, body = under(x, b, 0)
-                s = f"\\{name}.{body}"
+            case Abs():
+                outer, heads = [], []
+                while isinstance(t, Abs):
+                    x = t.binder
+                    outer.append((x, printed.get(x)))
+                    printed[x] = next(names) if rename else x
+                    heads.append(f"\\{printed[x]}.")
+                    t = t.body
+                s = "".join(heads) + text(t, 0)
+                for x, name in reversed(outer):
+                    printed[x] = name
                 return f"({s})" if prec > 0 else s
-            case App(f, a):
-                s = f"{text(f, 1)} {text(a, 2)}"
+            case App():
+                args = []
+                while isinstance(t, App):
+                    args.append(t.arg)
+                    t = t.fun
+                s = " ".join([text(t, 1), *(text(a, 2) for a in reversed(args))])
                 return f"({s})" if prec > 1 else s
             case Es(b, x, a):
-                name, body = under(x, b, 2)
+                outer = printed.get(x)
+                name = printed[x] = next(names) if rename else x
+                body = text(b, 2)
+                printed[x] = outer
                 return f"{body}[{name}\\{text(a, 0)}]"
 
     return text(t, 0)

@@ -7,16 +7,44 @@ observational equivalence (no context separates surface behavior).
 
 The judge is sound, never complete: every verdict other than Unknown
 is backed by a certificate that can be re-verified from scratch.
+
+The search for a separating context skips contexts that cannot
+separate, by two rules read off the surface trace of C<@> itself, in
+which the hole is an inert constant that no rule inspects, like bot.
+Both rest on lifting: every step of C<@> replays on C<t>, for every t,
+at the same position and by the same rule.  Surface reduction is
+diamond in both calculi (Accattoli & Paolini, FLOPS 2012, for
+call-by-value), so a term that has a surface normal form reaches it
+by every surface reduction (uniform normalization), and every reduct
+of a term has the term's status.
+
+- Dead contexts.  When C<@> reaches a normal form with every hole at
+  level 1 or deeper, the lifted trace takes C<t> to that normal form
+  with t, or an instance of t, in the holes, which is still surface
+  normal: no level-0 rule inspects a position deeper than level 0.
+  So C<t> is meaningful for every t.  When C<@> cycles, the lifted
+  trace is an infinite surface reduction of C<t>, which then has no
+  normal form.  Either way the oracle cannot answer both statuses,
+  and the context is never tried.
+- Classes.  Live contexts whose C<@> reach alpha-equal normal forms
+  S<@> form a class.  The binders of contexts, and the names they are
+  renamed to, are b<digits>; a t with no such free name is neither
+  captured nor substituted into by the lifted steps, so every member
+  reduces C<t> to S<t>, and all members give t the same status.  Once
+  one member decides both pluggings without separating them, the rest
+  of its class cannot separate them either.  An undecided plugging
+  leaves the class open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .terms import (OMEGA, AlphaTable, Position, Term, Var, alpha_eq, hole_positions, plug,
-                    replace_at, subst)
+from .terms import (OMEGA, AlphaTable, Position, Term, Var, alpha_eq, hole_positions,
+                    level_of, plug, replace_at, subst)
 from .reduce import Trace, normalize
 from .approx import MEANINGFUL, MEANINGLESS, UNKNOWN as UNDECIDED, Oracle
 from .corpus import enumerate_contexts
@@ -34,6 +62,7 @@ UNKNOWN = "unknown"
 # the oracle fuel of each plugged term
 CONTEXT_SIZE = 5
 CONTEXT_FUEL = 200
+NO_WITNESS = f"no separating context of size <= {CONTEXT_SIZE} found"
 
 
 # each kind of certificate: what it shows, its result, and the theories
@@ -61,6 +90,8 @@ class Verdict:
     theory: str
     result: str
     certificate: Optional[Certificate] = None
+    # why a verdict stayed unknown: a note, left out when verdicts are compared
+    reason: str = field(default="", compare=False)
 
 
 @dataclass
@@ -81,6 +112,8 @@ def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
 
 
 _SWAP_XY = {"x": Var("y"), "y": Var("x")}
+# the names of context binders, and of the names they are renamed to
+_CONTEXT_BINDER = re.compile(r"b[0-9]+")
 
 
 @cache
@@ -96,6 +129,27 @@ def _contexts() -> list[tuple[Term, Position, bool]]:
     return table
 
 
+@cache
+def _classes(calculus: str) -> list[int | None]:
+    """The class of each context of the search, read off the surface
+    trace of C<@>: None for a dead context, else the index of the first
+    context of its class.  Built once per calculus, on first use."""
+    classes, stuck = [], AlphaTable()
+    for ctx, _, _ in _contexts():
+        tr = normalize(ctx, calculus, 0.0, CONTEXT_FUEL)
+        group = len(classes)  # a class of its own, unless its normal form is known
+        if tr.outcome == "cycle" or (tr.outcome == "normal" and all(
+                level_of(pos, calculus) >= 1 for pos in hole_positions(tr.final))):
+            group = None
+        elif tr.outcome == "normal":
+            group = stuck.get(tr.final)
+            if group is None:
+                group = len(classes)
+                stuck.add(tr.final, group)
+        classes.append(group)
+    return classes
+
+
 def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
     """Search small contexts for one whose pluggings differ in
     meaningfulness; a witness refutes observational equivalence.
@@ -103,12 +157,17 @@ def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
     When neither term has x or y free, plugging into a context's x<->y
     mirror gives the mirror of each plugging, whose surface trace is the
     mirror of the first one step by step: only the first context of each
-    mirror pair is tried.  u is not plugged where t's plugging is
-    undecided."""
+    mirror pair is tried.  Dead contexts are never tried, and when
+    neither term has a free name b<digits>, a class is closed by its
+    first member that decides both pluggings (see the module docstring).
+    u is not plugged where t's plugging is undecided."""
     oracle = Oracle(calculus, CONTEXT_FUEL)
-    mirrored = _SWAP_XY.keys().isdisjoint(t.free | u.free)
-    for ctx, hole, first in _contexts():
-        if mirrored and not first:
+    names = t.free | u.free
+    mirrored = _SWAP_XY.keys().isdisjoint(names)
+    grouped = not any(_CONTEXT_BINDER.fullmatch(x) for x in names)
+    closed: set[int] = set()
+    for (ctx, hole, first), group in zip(_contexts(), _classes(calculus)):
+        if group is None or group in closed or (mirrored and not first):
             continue
         mt = oracle.status(replace_at(ctx, hole, t))
         if mt == UNDECIDED:
@@ -116,6 +175,8 @@ def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
         mu = oracle.status(replace_at(ctx, hole, u))
         if {mt, mu} == {MEANINGFUL, MEANINGLESS}:
             return ctx
+        if grouped and mu != UNDECIDED:
+            closed.add(group)
     return None
 
 
@@ -152,6 +213,10 @@ def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
         witness = falsify_observational(left, right, calculus)
         if witness is not None:
             certify("context-witness", {"context": witness, "left": left, "right": right})
+            return
+        for th in KINDS["context-witness"][2]:
+            if verdicts[th].result == UNKNOWN:
+                verdicts[th].reason = NO_WITNESS
 
     if tr_t.outcome == "normal" and tr_u.outcome == "normal" \
             and not alpha_eq(tr_t.final, tr_u.final):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from strata import alpha_eq, parse
+from strata import alpha_eq, parse, show
 from strata import cli
 from strata.cli import main
 
@@ -88,6 +88,26 @@ class TestParse:
     def test_echo_does_not_capture(self, capsys):
         code, out, _ = run(capsys, "parse", r"\x1.\x0.x1")
         assert code == 0 and alpha_eq(parse(out.strip()), parse(r"\x1.\x0.x1"))
+
+
+# a chain of 1,200 binders and a spine of 1,200 arguments: parse and
+# show each read them in a loop, deeper than the recursion limit
+NESTED_BINDERS = "".join(rf"\x{i}." for i in range(1200)) + "x0"
+LONG_SPINE = "f " + " ".join(["x"] * 1200)
+
+
+class TestDeepInput:
+    def assert_echoes(self, capsys, text):
+        code, out, err = run(capsys, "parse", text)
+        assert code == 0, err
+        # show renames binders canonically: equal prints are alpha-equal terms
+        assert out.strip() == show(parse(text)) == show(parse(out.strip()))
+
+    def test_parse_echoes_a_chain_of_binders(self, capsys):
+        self.assert_echoes(capsys, NESTED_BINDERS)
+
+    def test_parse_echoes_a_long_application_spine(self, capsys):
+        self.assert_echoes(capsys, LONG_SPINE)
 
 
 class TestFreshProcess:
@@ -293,6 +313,13 @@ class TestGenericityAndJudge:
         assert code == 1
         assert "observational: not-equal (a context separates the terms' " \
                "meaningfulness: @ x)" in out.splitlines()
+
+    def test_judge_says_why_a_verdict_stayed_unknown(self, capsys):
+        code, out, _ = run(capsys, "judge", ID, r"\x.\y.x y")
+        assert code == 2
+        lines = out.splitlines()
+        assert "mute: not-equal (the terms have distinct normal forms)" in lines
+        assert "observational: unknown (no separating context of size <= 5 found)" in lines
 
     def test_judge_theory_selects_the_exit_code(self, capsys):
         args = ("judge", ID, r"\x.\y.x y")

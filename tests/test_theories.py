@@ -25,9 +25,11 @@ from strata import (
     reverify,
     show,
 )
-from strata.approx import MEANINGFUL, MEANINGLESS
-from strata.corpus import enumerate_contexts
-from strata.theories import CONTEXT_FUEL, CONTEXT_SIZE, Certificate, Judgment, Verdict
+from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
+from strata.corpus import enumerate_contexts, random_term
+from strata.terms import replace_at
+from strata.theories import (_CONTEXT_BINDER, CONTEXT_FUEL, CONTEXT_SIZE, Certificate,
+                             Judgment, Verdict, _classes, _contexts)
 
 from conftest import DELTA, ID, OMEGA_LOOP, p
 
@@ -188,6 +190,62 @@ def test_the_search_finds_the_reference_witnesses_on_a_corpus(calculus):
         pairs.append(rng.choice([(t, f"({u}) ({OMEGA_LOOP})"),
                                  (OMEGA_LOOP, f"({OMEGA_LOOP}) ({t})"), (t, u)]))
     assert assert_same_witnesses(pairs, calculus) > 0
+
+
+# terms with a free name that context binders use, which a context can
+# capture: the search then tries every member of a class
+CAPTURED = [(rf"b0 ({DELTA}) ({DELTA})", "x"), (rf"b1 ({DELTA}) ({DELTA})", "x")]
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_the_search_tries_every_member_of_a_class_on_captured_names(calculus):
+    assert assert_same_witnesses(CAPTURED, calculus) > 0
+
+
+@pytest.mark.parametrize("calculus,dead,classes,first_classes",
+                         [(CBV, 90, 85, 49), (CBN, 140, 40, 28)])
+def test_the_context_table(calculus, dead, classes, first_classes):
+    groups = _classes(calculus)
+    assert len(_contexts()) == len(groups) == 275
+    assert groups.count(None) == dead
+    assert len(set(groups) - {None}) == classes
+    # the classes the search meets when it skips the second of each mirror pair
+    assert len({group for (*_, first), group in zip(_contexts(), groups)
+                if first and group is not None}) == first_classes
+
+
+def assert_the_skip_rules_hold(terms, calculus):
+    """In every context of the search: a dead context gives no term the
+    status that its C<@> rules out (meaningless when C<@> reaches a
+    normal form, meaningful when it cycles), and the members of a class
+    give each term one status where the oracle decides it."""
+    oracle = Oracle(calculus, CONTEXT_FUEL)
+    table = [(ctx, hole, group) for (ctx, hole, _), group in zip(_contexts(), _classes(calculus))]
+    ruled_out = {i: MEANINGFUL if normalize(ctx, calculus, 0.0, CONTEXT_FUEL).outcome == "cycle"
+                 else MEANINGLESS
+                 for i, (ctx, _, group) in enumerate(table) if group is None}
+    for t in terms:
+        assert not any(_CONTEXT_BINDER.fullmatch(x) for x in t.free)
+        statuses = {}
+        for i, (ctx, hole, group) in enumerate(table):
+            status = oracle.status(replace_at(ctx, hole, t))
+            if group is None:
+                assert status != ruled_out[i], (show(t), show(ctx))
+            elif status != UNKNOWN:
+                assert statuses.setdefault(group, status) == status, (show(t), show(ctx))
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_dead_contexts_and_classes_on_fixed_terms(calculus):
+    assert_the_skip_rules_hold([p(s) for s in FIXED_TERMS + POOL], calculus)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_dead_contexts_and_classes_on_random_terms(calculus):
+    rng = random.Random(f"skip-rules/{calculus}")
+    assert_the_skip_rules_hold([random_term(rng, rng.randint(2, 10)) for _ in range(500)],
+                               calculus)
 
 
 class TestCertificates:

@@ -13,9 +13,11 @@ value, and how many pairs the change won, in the metric's better
 direction (ties count for neither).
 It also makes one ``--trace 1 --seconds 0`` run per side and workload
 at that seed and records its ``reduce.steps`` and every ``.calls``
-counter, which show where work was saved on any host.  It also times
-``enumerate_terms(9)`` in a fresh process per side and run, with that
-process's peak RSS.  Standard library only.
+counter, which show where work was saved on any host, and the
+``tools/answer_digest.py`` digest of one round's answers, so that a
+report shows by itself whether both sides gave the same answers.  It
+also times ``enumerate_terms(9)`` in a fresh process per side and run,
+with that process's peak RSS.  Standard library only.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ def work_counters(root: Path, workload: str, seed: int) -> dict:
             if name == "reduce.steps" or name.endswith(".calls")}
 
 
+def answer_digest(root: Path, workload: str, seed: int) -> str:
+    """The SHA-256 over the answers of one round, made in a fresh process."""
+    argv = [sys.executable, str(Path(__file__).with_name("answer_digest.py")), str(root),
+            "--workload", workload, "--seed", str(seed)]
+    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_enumerate(root: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", ENUMERATE], cwd=root,
                           capture_output=True, text=True, check=True)
@@ -95,7 +104,8 @@ def main() -> None:
     report = {
         "settings": {"pairs": PAIRS, "seed": args.seed, "seconds": SECONDS,
                      "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)",
-                     "counters": "one --trace 1 --seconds 0 run per side"},
+                     "counters": "one --trace 1 --seconds 0 run per side",
+                     "answers": "tools/answer_digest.py, one round per side"},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system(), "cpus": os.cpu_count()},
         "workloads": {},
@@ -120,6 +130,8 @@ def main() -> None:
                 for m in spec["end_to_end"]},
             "counters": {side: work_counters(sides[side], name, args.seed)
                          for side in sides},
+            "answers": {side: answer_digest(sides[side], name, args.seed)
+                        for side in sides},
         }
     enum = {side: [] for side in sides}
     for i in range(PAIRS):
