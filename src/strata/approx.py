@@ -1,11 +1,13 @@
 """Meaningfulness and meaningful approximants.
 
 A term is meaningful when its surface (level-0) reduction reaches a
-normal form.  The oracle below decides this operationally, with three
-outcomes: a normal form proves Meaningful, a repeated term proves
-Meaningless (level-0 reduction is deterministic enough that a cycle on
-the chosen strategy is a genuine loop), and running out of fuel leaves
-the question Unknown.
+partial normal form of level 0: a normal form whose bots all sit below
+level 0.  The oracle below decides this operationally, with three
+outcomes: a normal form proves Meaningful, or Meaningless when a bot
+sits at its level 0, a repeated term proves Meaningless (level-0
+reduction is deterministic enough that a cycle on the chosen strategy
+is a genuine loop), and running out of fuel leaves the question
+Unknown.
 
 The leftmost-outermost surface step is a function of the term, up to
 alpha, so a term's surface trace runs on through the trace of each of
@@ -22,15 +24,12 @@ steps at a term with bound r', r is k - j + r', an upper bound.  Every
 r is at most the fuel.
 
 The meaningful approximant A(t) prunes the meaningless parts of a term
-down to bot.  A meaningless node collapses to bot exactly when pruning
-its children is not enough to isolate the divergence: either the pruned
-node still carries a bot at surface level (the divergence sat in an
-argument position that surface reduction can never discard), or the
-pruned node itself fails to surface-normalize.  When pruning the
-children does isolate the divergence, the node keeps its shape over the
-pruned children.  approximate_step pushes a single reduction step
-through A; lift_step replays a step of a partial term on any refinement
-of it.
+down to bot: A(t) = bot when t is meaningless, and otherwise the same
+constructor over the approximants of its children.  So a meaningless
+subterm of t always sits under a bot of A(t), which is what the
+genericity check needs.  approximate_step pushes a single reduction
+step through A; lift_step replays a step of a partial term on any
+refinement of it.
 """
 
 from __future__ import annotations
@@ -38,33 +37,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import (
-    Abs,
-    AlphaTable,
-    App,
-    BOT,
-    Es,
-    Position,
-    Term,
-    alpha_eq,
-    bot_positions,
-    level_of,
-    partial_leq,
-)
+from .terms import Abs, AlphaTable, App, BOT, Es, Position, Term, alpha_eq, partial_leq
 from .reduce import (Redex, Step, Trace, apply_step, check_fuel, min_level_reader,
                      normalize)
+from .nf import has_bot_within
 
 MEANINGFUL = "meaningful"
 MEANINGLESS = "meaningless"
 UNKNOWN = "unknown"
-_STATUS = {"normal": MEANINGFUL, "cycle": MEANINGLESS}  # by trace outcome
+
+
+def _status(trace: Trace) -> str:
+    """The status a surface trace proves by its outcome: a normal form
+    is meaningful unless a bot sits at its level 0, a cycle is
+    meaningless, and running out of fuel proves nothing."""
+    if trace.outcome == "normal":
+        return MEANINGLESS if has_bot_within(trace.final, trace.calculus, 0.0) else MEANINGFUL
+    return MEANINGLESS if trace.outcome == "cycle" else UNKNOWN
 
 
 @dataclass(frozen=True)
 class MeaningReport:
     status: str
-    # the surface trace, ending in a normal form for Meaningful and in a
-    # cycle for Meaningless; nothing for Unknown
+    # the surface trace, ending in a normal form for Meaningful and, for
+    # Meaningless, in a cycle or in a normal form with a bot at level 0;
+    # nothing for Unknown
     witness: object = None
 
 
@@ -90,7 +87,7 @@ class Oracle:
         if report is not None:
             return report
         trace = normalize(t, self.calculus, 0.0, self.fuel)
-        status = _STATUS.get(trace.outcome, UNKNOWN)
+        status = _status(trace)
         if status != UNKNOWN and self._known.get(t) is None:
             self._learn(trace)  # a known term's whole trace is known
         report = MeaningReport(status, None if status == UNKNOWN else trace)
@@ -101,7 +98,7 @@ class Oracle:
         """The status of meaning(t), from a trace that stops at the first
         term whose status is known early enough to be the same."""
         if self._redex_level(t) > 0:  # no surface redex: t is its own normal form
-            return MEANINGFUL
+            return MEANINGLESS if has_bot_within(t, self.calculus, 0.0) else MEANINGFUL
         known = self._known.get(t)
         if known is not None:
             return known[0]
@@ -124,7 +121,7 @@ class Oracle:
             status, rest = self._known.get(trace.final)
             end += rest
         else:
-            status = _STATUS[trace.outcome]
+            status = _status(trace)
         loop = len(trace.steps) if trace.cycle_start is None else trace.cycle_start
         for j, s in enumerate(trace.terms[:len(trace.steps)]):
             self._known.add(s, (status, end - min(j, loop)))
@@ -140,16 +137,9 @@ class Undetermined:
 
 
 def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]:
-    """A(t): prune every subterm down to the shape surface reduction can
-    still make use of.
-
-    Meaningful nodes keep their constructor over the approximants of
-    their immediate subterms.  A meaningless node first prunes its
-    children the same way; if the pruned node carries a bot at surface
-    level or still fails to surface-normalize, the divergence is
-    inseparable from the node and it collapses to bot, otherwise the
-    pruned shape is kept.  A node that pruning leaves unchanged is
-    returned as the same node.
+    """A(t): bot if t is meaningless, otherwise t's constructor over the
+    approximants of its immediate subterms.  A node that this leaves
+    unchanged is returned as the same node.
 
     The approximant of a node is taken from the oracle's table of the
     last approximant computed, or from earlier in this one, whenever the
@@ -169,6 +159,9 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         status = oracle.status(t)
         if status == UNKNOWN:
             raise _Undecided(pos)
+        if status == MEANINGLESS:
+            table[id(t)] = (t, BOT)
+            return BOT
         match t:
             case Abs(x, b):
                 b2 = go(b, pos + ("b",))
@@ -181,8 +174,6 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
-        if status == MEANINGLESS and _inseparable(hat, oracle, pos):
-            hat = BOT
         table[id(t)] = (t, hat)
         return hat
 
@@ -192,17 +183,6 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         return Undetermined(exc.position)
     oracle._approximants = table
     return hat
-
-
-def _inseparable(hat: Term, oracle: Oracle, pos: Position) -> bool:
-    """The pruned form hat of a meaningless node still carries a bot at
-    surface level or is itself meaningless."""
-    if any(level_of(p, oracle.calculus) == 0.0 for p in bot_positions(hat)):
-        return True
-    status = oracle.status(hat)
-    if status == UNKNOWN:
-        raise _Undecided(pos)
-    return status == MEANINGLESS
 
 
 class _Undecided(Exception):

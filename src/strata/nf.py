@@ -15,19 +15,7 @@ never reach.
 
 from __future__ import annotations
 
-from .terms import (
-    CBN,
-    CBV,
-    Abs,
-    App,
-    Es,
-    Level,
-    Term,
-    Var,
-    agree,
-    bot_positions,
-    level_of,
-)
+from .terms import CBN, CBV, Abs, App, Bot, Es, Level, Term, Var, agree
 from .reduce import min_redex_level
 
 VR = "vr"
@@ -92,9 +80,40 @@ def is_normal(t: Term, calculus: str, k: Level) -> bool:
 def is_bno(t: Term, calculus: str, k: Level) -> bool:
     """Membership in the level-k normal forms of the partial calculus:
     no level-k redex and every bot sits strictly below level k."""
-    if not is_normal(t, calculus, k):
-        return False
-    return all(level_of(p, calculus) > k for p in bot_positions(t))
+    return is_normal(t, calculus, k) and not has_bot_within(t, calculus, k)
+
+
+def has_bot_within(t: Term, calculus: str, k: Level) -> bool:
+    """Whether some bot of t sits at level k or above it.
+
+    Walks only that part of t, one level at a time and without
+    recursion: by value both sides of applications and substitutions,
+    and the body of a binder one level down; by name function sides,
+    bodies and substitution bodies, and arguments one level down.
+    """
+    if calculus not in _SORT:
+        raise ValueError(f"unknown calculus {calculus!r}")
+    by_value, layer, level = calculus == CBV, [t], 0
+    while layer:
+        deeper: list[Term] = []
+        args, bodies = (layer, deeper) if by_value else (deeper, layer)
+        while layer:
+            t = layer.pop()
+            cls = type(t)
+            if cls is App:
+                layer.append(t.fun)
+                args.append(t.arg)
+            elif cls is Abs:
+                bodies.append(t.body)
+            elif cls is Es:
+                layer.append(t.body)
+                args.append(t.arg)
+            elif cls is Bot:
+                return True
+        if level >= k:
+            return False
+        layer, level = deeper, level + 1
+    return False
 
 
 def strat_eq(t: Term, u: Term, calculus: str, k: Level) -> bool:

@@ -317,7 +317,7 @@ class TestApproximant:
 
     def test_divergent_application_of_meaningful_parts(self, cbv_oracle):
         a = self.A(rf"(\x.x ({OMEGA_LOOP})) (\y.{OMEGA_LOOP})", cbv_oracle)
-        assert alpha_eq(a, parse(r"(\x.bot) (\y.bot)"))
+        assert alpha_eq(a, parse("bot"))
 
     def test_pruning_is_homomorphic_inside_values(self, cbv_oracle):
         a = self.A(rf"\x.(x (\y.({ID}) ({ID})) (\z.({ID}) ({OMEGA_LOOP})))",
@@ -377,9 +377,9 @@ class TestApproximantTable:
         assert undetermined
 
     def test_unpruned_nodes_are_returned_as_they_are(self, cbv_oracle):
-        t = parse(rf"(\x.x ({OMEGA_LOOP})) (\y.y y)")
+        t = parse(rf"x (\z.{OMEGA_LOOP}) (\y.y y)")
         a = meaningful_approximant(t, cbv_oracle)
-        assert alpha_eq(a, parse(r"(\x.bot) (\y.y y)"))
+        assert alpha_eq(a, parse(r"x (\z.bot) (\y.y y)"))
         assert a.arg is t.arg
         u = parse(r"\x.x (\y.y)")
         assert meaningful_approximant(u, cbv_oracle) is u

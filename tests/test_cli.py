@@ -65,8 +65,8 @@ def readme_commands():
 # the exit code of each README example, in the README's order
 README_EXIT_CODES = [("parse", 0), ("reduce", 0), ("nf-check", 0), ("eq", 0),
                      ("meaning", 1), ("approximant", 0), ("type-infer", 0),
-                     ("type-check", 0), ("genericity", 0), ("judge", 1),
-                     ("axioms", 0)]
+                     ("type-check", 0), ("genericity", 0), ("genericity", 0),
+                     ("judge", 1), ("axioms", 0)]
 
 
 def test_the_readme_examples_run(capsys, tmp_path, monkeypatch):
@@ -218,6 +218,27 @@ class TestMeaning:
                            "--fuel", "10")
         assert code == 2 and "unknown" in out
 
+    # a bot at level 0 of a surface normal form makes it meaningless, as
+    # it makes it untypable
+    @pytest.mark.parametrize("calculus, term, meaning, typing", [
+        ("cbv", "bot", 1, 3), ("cbv", "x bot", 1, 3), ("cbv", r"(\x.x) bot", 1, 3),
+        ("cbv", r"\y.bot", 0, 0),
+        ("cbn", "bot", 1, 3), ("cbn", r"(\x.x) bot", 1, 3), ("cbn", r"\y.bot", 1, 3),
+        ("cbn", "x bot", 0, 0),
+    ])
+    def test_meaning_agrees_with_type_infer_on_partial_terms(self, capsys, calculus, term,
+                                                             meaning, typing):
+        assert run(capsys, "meaning", term, "--calculus", calculus)[0] == meaning
+        assert run(capsys, "type-infer", term, "--calculus", calculus)[0] == typing
+
+    @pytest.mark.parametrize("term, calculus", [
+        (LONG_SPINE + " bot", "cbv"),
+        ("\\x." * 1200 + "bot", "cbn"),
+    ], ids=["spine-cbv", "binders-cbn"])
+    def test_a_deep_level_0_bot_is_found(self, term, calculus):
+        done = strata_process("meaning", term, "--calculus", calculus)
+        assert done.returncode == 1, done.stderr
+
 
 class TestApproximant:
     def test_collapse_to_bot(self, capsys):
@@ -296,6 +317,18 @@ class TestGenericityAndJudge:
         code, out, _ = run(capsys, "genericity", OMEGA_LOOP,
                            "--context", rf"(\y.{ID}) @", "--level", "0")
         assert code == 0 and out.count(": vacuous") == 5
+
+    # meaningless fillers made of meaningful parts: their approximant is
+    # bot, so the hole sits under a bot of A(C<t>)
+    @pytest.mark.parametrize("term, context, calculus", [
+        (rf"({ID}) ({OMEGA_LOOP})", "z @", "cbn"),
+        (rf"(\x.x ({OMEGA_LOOP})) (\y.{OMEGA_LOOP})", r"\a.@", "cbv"),
+    ])
+    def test_genericity_holds_for_meaningless_applications(self, capsys, term, context,
+                                                           calculus):
+        code, out, _ = run(capsys, "genericity", term, "--context", context,
+                           "--level", "0", "--calculus", calculus)
+        assert code == 0 and "violated" not in out and out.count(": ok") == 5
 
     def test_genericity_unknown_exits_2(self, capsys):
         code, out, _ = run(capsys, "genericity", r"(\x.x x x) (\x.x x x)",

@@ -22,8 +22,9 @@ from strata import (
     stratified_genericity_check,
 )
 from strata import genericity
-from strata.corpus import enumerate_contexts
+from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.reduce import step_to_dict
+from strata.terms import bot_positions, hole_positions, replace_at, subterms
 
 from conftest import ID, OMEGA_LOOP, p
 
@@ -148,32 +149,49 @@ class TestCertificateReplay:
 
 
 # The genericity theorem as an exhaustive gate: every small context,
-# three fillers, three observation levels and the default probes.  The
+# five fillers, three observation levels and the default probes.  The
 # fillers are Omega, which is meaningless in both calculi, a guarded
 # Omega, meaningless by name only, and an applied Omega, meaningless by
 # value only: where a filler is meaningful the theorem does not apply.
-GATE_FILLERS = (OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})")
+# The last two are meaningless in both calculi though made of meaningful
+# parts (an abstraction, an identity): their approximant is bot, not a
+# shape over those parts.
+GATE_FILLERS = (OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})",
+                rf"(\x.x ({OMEGA_LOOP})) (\y.{OMEGA_LOOP})", rf"({ID}) ({OMEGA_LOOP})")
 GATE_LEVELS = (0.0, 1.0, OMEGA)
 GATE_FUEL = 60
+
+
+def _sits_under_a_bot(report, ctx):
+    """Some prefix of the hole's position in ctx is a bot position of the
+    approximant of the plugged context."""
+    hole, bots = hole_positions(ctx)[0], set(bot_positions(report.approximant))
+    return any(hole[:i] in bots for i in range(len(hole) + 1))
+
+
+def _tally(oracle, fillers, contexts, probes):
+    """The statuses of every check of a filler in a context at each gate
+    level with each probe.  None is violated, and in every ok one the
+    hole sits under a bot of the approximant."""
+    tally = Counter()
+    for filler in fillers:
+        for ctx in contexts:
+            for level in GATE_LEVELS:
+                for u in probes:
+                    r = stratified_genericity_check(
+                        filler, ctx, u, oracle.calculus, level, oracle, GATE_FUEL)
+                    assert r.status != "violated", (show(filler), show(ctx, rename=False),
+                                                    show(u), level, r.detail)
+                    assert r.status != "ok" or _sits_under_a_bot(r, ctx)
+                    tally[r.status] += 1
+    return dict(tally)
 
 
 def _gate_tallies(calculus, max_context_size):
     contexts = list(enumerate_contexts(max_context_size))
     probes = [p(u) for u in DEFAULT_PROBES]
-    tallies = {}
-    for filler in GATE_FILLERS:
-        oracle = Oracle(calculus, GATE_FUEL)
-        tally = Counter()
-        for ctx in contexts:
-            for level in GATE_LEVELS:
-                for u in probes:
-                    r = stratified_genericity_check(
-                        p(filler), ctx, u, calculus, level, oracle, GATE_FUEL)
-                    assert r.status != "violated", (show(ctx, rename=False), show(u),
-                                                    level, r.detail)
-                    tally[r.status] += 1
-        tallies[filler] = dict(tally)
-    return tallies
+    return {filler: _tally(Oracle(calculus, GATE_FUEL), [p(filler)], contexts, probes)
+            for filler in GATE_FILLERS}
 
 
 OMEGA_BY_VALUE = {"ok": 735, "vacuous": 3390}
@@ -182,8 +200,10 @@ ALL_INAPPLICABLE = {"inapplicable": 4125}
 
 
 @pytest.mark.parametrize("calculus, expected", [
-    (CBV, [OMEGA_BY_VALUE, ALL_INAPPLICABLE, OMEGA_BY_VALUE]),
-    (CBN, [OMEGA_BY_NAME, OMEGA_BY_NAME, ALL_INAPPLICABLE]),
+    (CBV, [OMEGA_BY_VALUE, ALL_INAPPLICABLE, OMEGA_BY_VALUE, OMEGA_BY_VALUE,
+           OMEGA_BY_VALUE]),
+    (CBN, [OMEGA_BY_NAME, OMEGA_BY_NAME, ALL_INAPPLICABLE, OMEGA_BY_NAME,
+           OMEGA_BY_NAME]),
 ])
 def test_genericity_holds_in_every_context_of_size_5(calculus, expected):
     assert _gate_tallies(calculus, 5) == dict(zip(GATE_FILLERS, expected))
@@ -192,9 +212,28 @@ def test_genericity_holds_in_every_context_of_size_5(calculus, expected):
 @pytest.mark.slow
 @pytest.mark.parametrize("calculus, expected", [
     (CBV, [{"ok": 5215, "vacuous": 17075}, {"inapplicable": 22290},
+           {"ok": 5215, "vacuous": 17075}, {"ok": 5215, "vacuous": 17075},
            {"ok": 5215, "vacuous": 17075}]),
     (CBN, [{"ok": 9725, "vacuous": 12565}, {"ok": 9725, "vacuous": 12565},
-           {"inapplicable": 22290}]),
+           {"inapplicable": 22290}, {"ok": 9725, "vacuous": 12565},
+           {"ok": 9725, "vacuous": 12565}]),
 ])
 def test_genericity_holds_in_every_context_of_size_6(calculus, expected):
     assert _gate_tallies(calculus, 6) == dict(zip(GATE_FILLERS, expected))
+
+
+# A census of meaningless fillers: every term of enumerate_terms(5) with
+# one non-root position replaced by Omega, kept where the oracle finds
+# it meaningless, checked in every context of enumerate_contexts(4).
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus, fillers, expected", [
+    (CBV, 667, {"ok": 19343, "vacuous": 76705}),
+    (CBN, 787, {"ok": 33841, "vacuous": 79487}),
+])
+def test_genericity_holds_for_every_omega_planted_filler(calculus, fillers, expected):
+    oracle = Oracle(calculus, GATE_FUEL)
+    planted = [replace_at(t, pos, p(OMEGA_LOOP))
+               for t in enumerate_terms(5) for pos, _ in subterms(t) if pos]
+    mute = [t for t in planted if oracle.status(t) == "meaningless"]
+    assert len(mute) == fillers
+    assert _tally(oracle, mute, list(enumerate_contexts(4)), [p("x")]) == expected

@@ -8,7 +8,8 @@ import pytest
 
 from strata import CBN, CBV, OMEGA, alpha_eq, classify_nf, find_redexes, is_bno, is_normal, parse, strat_eq
 from strata.corpus import enumerate_terms
-from strata.nf import NE, NO, NOT_NF, VR
+from strata.nf import NE, NO, NOT_NF, VR, has_bot_within
+from strata.terms import BOT, level_of, replace_at, subterms
 
 from conftest import ID, OMEGA_LOOP
 
@@ -90,6 +91,14 @@ class TestBottomFreeObservation:
         assert is_bno(parse("x bot"), CBN, 0.0)
         assert not is_bno(parse("x bot"), CBN, 1.0)
         assert is_bno(parse(r"\x.x"), CBN, OMEGA)
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_the_bot_walk_finds_a_bot_exactly_within_its_level(self, calculus):
+        for t in enumerate_terms(4):
+            for pos, _ in subterms(t):
+                planted = replace_at(t, pos, BOT)
+                for k in (0.0, 1.0, 2.0, OMEGA):
+                    assert has_bot_within(planted, calculus, k) == (level_of(pos, calculus) <= k)
 
 
 class TestStratifiedEquality:
