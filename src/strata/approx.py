@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import Abs, AlphaTable, App, BOT, Es, Position, Term, alpha_eq, partial_leq
+from .terms import (CBN, CBV, Abs, AlphaTable, App, BOT, Es, Position, Term, alpha_eq,
+                    level_of, partial_leq)
 from .reduce import (Redex, Step, Trace, apply_step, check_fuel, min_level_reader,
                      normalize)
 from .nf import has_bot_within
@@ -136,6 +137,10 @@ class Undetermined:
     position: Position
 
 
+# for each calculus, whether each edge stays at the level of its node
+_FLAT = {c: {e: level_of((e,), c) == 0 for e in "blrse"} for c in (CBV, CBN)}
+
+
 def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]:
     """A(t): bot if t is meaningless, otherwise t's constructor over the
     approximants of its immediate subterms.  A node that this leaves
@@ -150,27 +155,45 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
     if hit is not None:
         return hit[1]
     table: dict[int, tuple[Term, Term]] = {}
+    flat = _FLAT[oracle.calculus]
 
-    def go(t: Term, pos: Position) -> Term:
+    def go(t: Term, pos: tuple, normal: bool) -> Term:
+        """pos: t's position, as a chain (position of the parent, edge),
+        () at the root.  normal: t sits at level 0 of a node with no
+        surface redex and no bot at level 0, so t has neither and is
+        meaningful: the test runs once per level-0 region, not once per
+        node."""
         hit = last.get(id(t)) or table.get(id(t))
         if hit is not None:
             table[id(t)] = hit
             return hit[1]
-        status = oracle.status(t)
+        if normal:
+            status = MEANINGFUL
+        elif oracle._redex_level(t) > 0:  # t is its own surface normal form
+            normal = not has_bot_within(t, oracle.calculus, 0.0)
+            status = MEANINGFUL if normal else MEANINGLESS
+        else:
+            status = oracle.status(t)
         if status == UNKNOWN:
-            raise _Undecided(pos)
+            edges = []
+            while pos:
+                pos, edge = pos
+                edges.append(edge)
+            raise _Undecided(tuple(reversed(edges)))
         if status == MEANINGLESS:
             table[id(t)] = (t, BOT)
             return BOT
         match t:
             case Abs(x, b):
-                b2 = go(b, pos + ("b",))
+                b2 = go(b, (pos, "b"), normal and flat["b"])
                 hat = t if b2 is b else Abs(x, b2)
             case App(f, a):
-                f2, a2 = go(f, pos + ("l",)), go(a, pos + ("r",))
+                f2 = go(f, (pos, "l"), normal and flat["l"])
+                a2 = go(a, (pos, "r"), normal and flat["r"])
                 hat = t if f2 is f and a2 is a else App(f2, a2)
             case Es(b, x, a):
-                b2, a2 = go(b, pos + ("s",)), go(a, pos + ("e",))
+                b2 = go(b, (pos, "s"), normal and flat["s"])
+                a2 = go(a, (pos, "e"), normal and flat["e"])
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t
@@ -178,7 +201,7 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         return hat
 
     try:
-        hat = go(t, ())
+        hat = go(t, (), False)
     except _Undecided as exc:
         return Undetermined(exc.position)
     oracle._approximants = table

@@ -420,44 +420,46 @@ def agree(t: Term, u: Term, calculus: str = CBV, k: Level = OMEGA,
     has the same name on both sides, as it then means the same on both.
     """
     deep = _deep_edges(calculus)
-
     # left and right give the depth of the innermost binder of each name
-    # in scope on each side; the last child of a node is walked by the
-    # loop, the others by recursion
-    def go(t: Term, u: Term, k: Level, left: dict, right: dict,
-           depth: int, same: bool) -> bool:
-        while not (t is u and same):
+    # in scope on each side.  The loop walks one child of each node and
+    # leaves the other, with its budget and scopes, on a stack: a spine
+    # or a chain of binders takes no recursion, however long.
+    left: dict = {}
+    right: dict = {}
+    depth, same, todo = 0, True, []
+    while True:
+        if not (t is u and same):
             kind = type(t)
             if kind is Bot and bot_below:
-                return True
-            if kind is not type(u):
+                pass
+            elif kind is not type(u):
                 return False
-            if kind is Var:
+            elif kind is Var:
                 i, j = left.get(t.name), right.get(u.name)
-                return i == j and (i is not None or t.name == u.name)
-            if kind is Abs:
+                if i != j or (i is None and t.name != u.name):
+                    return False
+            elif kind is Abs:
+                if "b" not in deep or k > 0:
+                    left, right = {**left, t.binder: depth}, {**right, u.binder: depth}
+                    same = same and t.binder == u.binder
+                    t, u, depth = t.body, u.body, depth + 1
+                    k -= "b" in deep
+                    continue
+            elif kind is App:
+                if "r" not in deep or k > 0:
+                    todo.append((t.arg, u.arg, k - ("r" in deep), left, right, depth, same))
+                t, u = t.fun, u.fun
+                continue
+            elif kind is Es:
+                if "e" not in deep or k > 0:
+                    todo.append((t.arg, u.arg, k - ("e" in deep), left, right, depth, same))
                 left, right = {**left, t.binder: depth}, {**right, u.binder: depth}
                 same = same and t.binder == u.binder
-                edge, t, u, depth = "b", t.body, u.body, depth + 1
-            elif kind is App:
-                if not go(t.fun, u.fun, k, left, right, depth, same):
-                    return False
-                edge, t, u = "r", t.arg, u.arg
-            elif kind is Es:
-                if not go(t.body, u.body, k, {**left, t.binder: depth},
-                          {**right, u.binder: depth}, depth + 1,
-                          same and t.binder == u.binder):
-                    return False
-                edge, t, u = "e", t.arg, u.arg
-            else:
-                return True
-            if edge in deep:
-                if k == 0:
-                    return True
-                k -= 1
-        return True
-
-    return go(t, u, k, {}, {}, 0, True)
+                t, u, depth = t.body, u.body, depth + 1
+                continue
+        if not todo:
+            return True
+        t, u, k, left, right, depth, same = todo.pop()
 
 
 def bot_positions(t: Term) -> list[Position]:

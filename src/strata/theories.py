@@ -8,46 +8,28 @@ observational equivalence (no context separates surface behavior).
 The judge is sound, never complete: every verdict other than Unknown
 is backed by a certificate that can be re-verified from scratch.
 
-The search for a separating context skips contexts that cannot
-separate, by two rules read off the surface trace of C<@> itself, in
-which the hole is an inert constant that no rule inspects, like bot.
-Both rest on lifting: every step of C<@> replays on C<t>, for every t,
-at the same position and by the same rule.  Surface reduction is
-diamond in both calculi (Accattoli & Paolini, FLOPS 2012, for
-call-by-value), so a term that has a surface normal form reaches it
-by every surface reduction (uniform normalization), and every reduct
-of a term has the term's status.
-
-- Dead contexts.  When C<@> reaches a normal form with every hole at
-  level 1 or deeper, the lifted trace takes C<t> to that normal form
-  with t, or an instance of t, in the holes, which is still surface
-  normal: no level-0 rule inspects a position deeper than level 0.
-  So C<t> is meaningful for every t.  When C<@> cycles, the lifted
-  trace is an infinite surface reduction of C<t>, which then has no
-  normal form.  Either way the oracle cannot answer both statuses,
-  and the context is never tried.
-- Classes.  Live contexts whose C<@> reach alpha-equal normal forms
-  S<@> form a class.  The binders of contexts, and the names they are
-  renamed to, are b<digits>; a t with no such free name is neither
-  captured nor substituted into by the lifted steps, so every member
-  reduces C<t> to S<t>, and all members give t the same status.  Once
-  one member decides both pluggings without separating them, the rest
-  of its class cannot separate them either.  An undecided plugging
-  leaves the class open.
+A separating context refutes observational equivalence.  It is built,
+not searched for: separating_context (in bohm) reads the Böhm-tree
+shape of the two plugged terms from their level-0 normal forms and
+builds a context from abstractions that close free heads, the
+permutator \\a.\\t.t a and selectors, padding arguments and a
+divergent argument \\a.Ω, placed at the first difference.  A built
+context counts only once an oracle at CONTEXT_FUEL decides one
+plugging meaningful and the other meaningless, and reverify decides
+them again.  Every pair of the tests' corpora that some context of size
+at most 5 separates, the built context separates too, so no search
+over contexts runs.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Optional
 
-from .terms import (OMEGA, AlphaTable, Position, Term, Var, alpha_eq, hole_positions,
-                    level_of, plug, replace_at, subst)
+from .terms import OMEGA, AlphaTable, Term, alpha_eq, plug
 from .reduce import Trace, normalize
-from .approx import MEANINGFUL, MEANINGLESS, UNKNOWN as UNDECIDED, Oracle
-from .corpus import enumerate_contexts
+from .approx import MEANINGFUL, MEANINGLESS, Oracle
+from .bohm import separating_context
 
 LAMBDA = "conversion"
 H = "mute"
@@ -58,11 +40,10 @@ EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 UNKNOWN = "unknown"
 
-# the search for a separating context: the largest context tried, and
-# the oracle fuel of each plugged term
-CONTEXT_SIZE = 5
+# the oracle fuel of each term a separating context is built from or
+# plugged with
 CONTEXT_FUEL = 200
-NO_WITNESS = f"no separating context of size <= {CONTEXT_SIZE} found"
+NO_WITNESS = "Böhm-out from the normal forms built no separating context"
 
 
 # each kind of certificate: what it shows, its result, and the theories
@@ -111,72 +92,15 @@ def _common_reduct(tr_t: Trace, tr_u: Trace) -> Term | None:
     return next((r for r in tr_u.terms if seen.get(r)), None)
 
 
-_SWAP_XY = {"x": Var("y"), "y": Var("x")}
-# the names of context binders, and of the names they are renamed to
-_CONTEXT_BINDER = re.compile(r"b[0-9]+")
-
-
-@cache
-def _contexts() -> list[tuple[Term, Position, bool]]:
-    """The contexts of the search, smallest first, each with the position
-    of its hole and whether it comes before its x<->y mirror; built once,
-    on first use."""
-    table, seen = [], AlphaTable()
-    for ctx in enumerate_contexts(CONTEXT_SIZE):
-        (hole,) = hole_positions(ctx)
-        table.append((ctx, hole, seen.get(subst(ctx, _SWAP_XY)) is None))
-        seen.add(ctx, True)
-    return table
-
-
-@cache
-def _classes(calculus: str) -> list[int | None]:
-    """The class of each context of the search, read off the surface
-    trace of C<@>: None for a dead context, else the index of the first
-    context of its class.  Built once per calculus, on first use."""
-    classes, stuck = [], AlphaTable()
-    for ctx, _, _ in _contexts():
-        tr = normalize(ctx, calculus, 0.0, CONTEXT_FUEL)
-        group = len(classes)  # a class of its own, unless its normal form is known
-        if tr.outcome == "cycle" or (tr.outcome == "normal" and all(
-                level_of(pos, calculus) >= 1 for pos in hole_positions(tr.final))):
-            group = None
-        elif tr.outcome == "normal":
-            group = stuck.get(tr.final)
-            if group is None:
-                group = len(classes)
-                stuck.add(tr.final, group)
-        classes.append(group)
-    return classes
-
-
 def falsify_observational(t: Term, u: Term, calculus: str) -> Term | None:
-    """Search small contexts for one whose pluggings differ in
-    meaningfulness; a witness refutes observational equivalence.
-
-    When neither term has x or y free, plugging into a context's x<->y
-    mirror gives the mirror of each plugging, whose surface trace is the
-    mirror of the first one step by step: only the first context of each
-    mirror pair is tried.  Dead contexts are never tried, and when
-    neither term has a free name b<digits>, a class is closed by its
-    first member that decides both pluggings (see the module docstring).
-    u is not plugged where t's plugging is undecided."""
+    """The context built from the normal forms of t and u, when an
+    oracle decides its pluggings of t and u one meaningful and the other
+    meaningless: a witness that refutes observational equivalence."""
     oracle = Oracle(calculus, CONTEXT_FUEL)
-    names = t.free | u.free
-    mirrored = _SWAP_XY.keys().isdisjoint(names)
-    grouped = not any(_CONTEXT_BINDER.fullmatch(x) for x in names)
-    closed: set[int] = set()
-    for (ctx, hole, first), group in zip(_contexts(), _classes(calculus)):
-        if group is None or group in closed or (mirrored and not first):
-            continue
-        mt = oracle.status(replace_at(ctx, hole, t))
-        if mt == UNDECIDED:
-            continue
-        mu = oracle.status(replace_at(ctx, hole, u))
-        if {mt, mu} == {MEANINGFUL, MEANINGLESS}:
-            return ctx
-        if grouped and mu != UNDECIDED:
-            closed.add(group)
+    ctx = separating_context(t, u, oracle)
+    if ctx is not None and {oracle.status(plug(ctx, t)), oracle.status(plug(ctx, u))} \
+            == {MEANINGFUL, MEANINGLESS}:
+        return ctx
     return None
 
 
@@ -205,9 +129,10 @@ def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
         return certify("both-meaningless", {"left": mt, "right": mu})
 
     def separate() -> None:
-        """Certify a separating context, if the search finds one.  It
-        plugs each side's normal form at omega, which has the side's
-        status in every context, or the side itself when it has none."""
+        """Certify a separating context, if one is built.  It is built
+        from and plugged with each side's normal form at omega, which
+        has the side's status in every context, or the side itself when
+        it has none."""
         left, right = (tr.final if tr.outcome == "normal" else tr.start
                        for tr in (tr_t, tr_u))
         witness = falsify_observational(left, right, calculus)

@@ -340,6 +340,20 @@ class TestApproximant:
         a = meaningful_approximant(parse(rf"\x.{GROWER}"), oracle)
         assert isinstance(a, Undetermined)
         assert a.position == ("b",)
+        a = meaningful_approximant(parse(rf"x y (\x.{GROWER})"), Oracle(CBV, 40))
+        assert a.position == ("r", "b")
+
+    @pytest.mark.parametrize("calculus,tests", [(CBV, 1), (CBN, 801)])
+    def test_bot_test_runs_once_per_level_0_region(self, monkeypatch, calculus, tests):
+        # by value the 800-argument spine is one level-0 region; by name
+        # each argument is a region of its own
+        calls = []
+        real = strata.approx.has_bot_within
+        monkeypatch.setattr(strata.approx, "has_bot_within",
+                            lambda *args: calls.append(args) or real(*args))
+        t = parse("f " + " ".join(["x"] * 800))
+        assert meaningful_approximant(t, Oracle(calculus)) is t
+        assert len(calls) == tests
 
 
 CHURCH_ADD = (r"(\k.(\m.\n.\f.\x.m f (n f x)) (\f.\x.f x) (\f.\x.f (f x)))"

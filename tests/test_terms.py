@@ -440,7 +440,7 @@ class TestContexts:
         assert alpha_eq(path_to(t, ("r", "l"))[-1], parse(ID))
 
     def test_context_enumeration_order(self):
-        # the judge's context search depends on this order
+        # the reference search and the gates of the tests read this order
         ctxs = [show(c, rename=False) for c in enumerate_contexts(4, ("z",))]
         assert ctxs[:8] == ["@", r"\b0.@", r"\b0.\b1.@", "@ z", "z @", r"@[b0\z]",
                             r"z[b0\@]", r"b0[b0\@]"]
@@ -473,6 +473,23 @@ class TestFreeNames:
             for i in range(4999, -1, -1):
                 nested = Abs(f"v{i}", nested)
             assert free_vars(nested) == {"z", "u"}
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_alpha_eq_walks_long_spines_in_a_loop(self):
+        def spine(last):
+            t = Var("f")
+            for i in range(5000):
+                t = App(t, Var(f"a{i % 3}"))
+            return App(t, parse(last))
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            assert alpha_eq(spine(r"\y.y"), spine(r"\z.z"))
+            assert not alpha_eq(spine(r"\y.y"), spine(r"\y.x"))
+            assert partial_leq(App(spine("x").fun, BOT), spine("y"))
+            assert strat_eq(spine(r"\y.y"), spine(r"\y.x"), CBN, 0.0)
         finally:
             sys.setrecursionlimit(limit)
 

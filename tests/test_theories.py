@@ -25,11 +25,11 @@ from strata import (
     reverify,
     show,
 )
-from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
-from strata.corpus import enumerate_contexts, random_term
-from strata.terms import replace_at
-from strata.theories import (_CONTEXT_BINDER, CONTEXT_FUEL, CONTEXT_SIZE, Certificate,
-                             Judgment, Verdict, _classes, _contexts)
+from strata.approx import MEANINGFUL, MEANINGLESS
+from strata.bohm import diverger
+from strata.corpus import enumerate_contexts
+from strata.terms import App
+from strata.theories import CONTEXT_FUEL, NO_WITNESS, NOT_EQUAL, Certificate, Judgment, Verdict
 
 from conftest import DELTA, ID, OMEGA_LOOP, p
 
@@ -99,7 +99,8 @@ class TestContextSearch:
         assert j[LAMBDA].certificate.kind == "distinct-normal-forms"
         assert j[H].certificate.kind == "distinct-normal-forms"
         assert (j[HSTAR].result, j[HSTAR].certificate.kind) == ("not-equal", "context-witness")
-        assert show(j[HSTAR].certificate.data["context"], rename=False) == r"(b0 b0)[b0\@]"
+        assert show(j[HSTAR].certificate.data["context"], rename=False) == (
+            r"@ (\a0.\z.z a0) (\a0.\a1.(\w.w w) (\w.w w)) v2")
         assert reverify(j)
 
     def test_a_context_separates_where_nothing_else_decides(self):
@@ -109,7 +110,7 @@ class TestContextSearch:
         assert j[LAMBDA].result == "unknown"
         for th in (H, HSTAR):
             assert (j[th].result, j[th].certificate.kind) == ("not-equal", "context-witness")
-        assert show(j[HSTAR].certificate.data["context"], rename=False) == "@ x"
+        assert show(j[HSTAR].certificate.data["context"], rename=False) == "@ v0"
         assert reverify(j)
 
     def test_no_witness_for_identical_terms(self):
@@ -124,36 +125,29 @@ class TestContextSearch:
         assert reverify(j)
 
 
+REFERENCE_SIZE = 5
+
+
 def reference_search(t, u, calculus):
     """The separating-context search in its plainest form: every
-    context, with the terms plugged as given."""
+    context up to size 5, with the terms plugged as given."""
     oracle = Oracle(calculus, CONTEXT_FUEL)
-    for ctx in enumerate_contexts(CONTEXT_SIZE):
+    for ctx in enumerate_contexts(REFERENCE_SIZE):
         if {oracle.status(plug(ctx, t)), oracle.status(plug(ctx, u))} == {MEANINGFUL, MEANINGLESS}:
             return ctx
     return None
 
 
-def judge_search(t, u, calculus):
-    """The search as judge runs it, on the normal form of each side
-    that has one."""
-    def plugged(s):
-        tr = normalize(s, calculus, OMEGA)
-        return tr.final if tr.outcome == "normal" else s
-    return falsify_observational(plugged(t), plugged(u), calculus)
-
-
-def assert_same_witnesses(pairs, calculus) -> int:
-    """The judge's search finds the reference's witness, or none where
-    it finds none, on every pair; returns how many witnesses."""
+def assert_separated_pairs_stay_separated(pairs, calculus) -> int:
+    """Every pair that the reference search separates is not-equal
+    under observational, with a certificate that reverify accepts;
+    returns how many pairs it separates."""
     found = 0
     for left, right in pairs:
         t, u = p(left), p(right)
-        expected, got = reference_search(t, u, calculus), judge_search(t, u, calculus)
-        if expected is None:
-            assert got is None, (left, right)
-        else:
-            assert got is not None and alpha_eq(got, expected), (left, right)
+        if reference_search(t, u, calculus) is not None:
+            j = judge(t, u, calculus)
+            assert j[HSTAR].result == NOT_EQUAL and reverify(j), (left, right)
             found += 1
     return found
 
@@ -162,7 +156,9 @@ def _church(n):
     return r"\f.\x." + "f (" * n + "x" + ")" * n
 
 
-ADD_1_1 = rf"(\m.\n.\f.\x.m f (n f x)) ({_church(1)}) ({_church(1)})"
+ADD = r"\m.\n.\f.\x.m f (n f x)"
+MUL = r"\m.\n.\f.m (n f)"
+ADD_1_1 = rf"({ADD}) ({_church(1)}) ({_church(1)})"
 # small terms without self-application, as the benchmark judges
 POOL = ["x", "y", "x y", "y x", r"x (\z.z)", r"\z.x", r"\x.x", r"\x.\y.x",
         r"\x.\y.y", r"\x.x y", r"\x.y x", r"\f.\x.f x", r"\x.\y.x y",
@@ -173,13 +169,14 @@ FIXED_TERMS = FILLERS + [ADD_1_1, _church(2), _church(3),
 
 
 @pytest.mark.parametrize("calculus", [CBV, CBN])
-def test_the_search_finds_the_reference_witnesses_on_fixed_pairs(calculus):
-    assert assert_same_witnesses(itertools.combinations(FIXED_TERMS, 2), calculus) > 0
+def test_pairs_the_reference_separates_stay_separated_on_fixed_pairs(calculus):
+    assert assert_separated_pairs_stay_separated(
+        itertools.combinations(FIXED_TERMS, 2), calculus) > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("calculus", [CBV, CBN])
-def test_the_search_finds_the_reference_witnesses_on_a_corpus(calculus):
+def test_pairs_the_reference_separates_stay_separated_on_a_corpus(calculus):
     # 350 pairs per calculus in the benchmark's families: a term against
     # a loop applied to another, a loop against a loop applied to a
     # term, and two terms
@@ -189,63 +186,75 @@ def test_the_search_finds_the_reference_witnesses_on_a_corpus(calculus):
         t, u = rng.sample(POOL + FILLERS, 2)
         pairs.append(rng.choice([(t, f"({u}) ({OMEGA_LOOP})"),
                                  (OMEGA_LOOP, f"({OMEGA_LOOP}) ({t})"), (t, u)]))
-    assert assert_same_witnesses(pairs, calculus) > 0
+    assert assert_separated_pairs_stay_separated(pairs, calculus) > 0
 
 
-# terms with a free name that context binders use, which a context can
-# capture: the search then tries every member of a class
+# terms with a free name that the reference's context binders use, which
+# its contexts capture
 CAPTURED = [(rf"b0 ({DELTA}) ({DELTA})", "x"), (rf"b1 ({DELTA}) ({DELTA})", "x")]
 
 
 @pytest.mark.parametrize("calculus", [CBV, CBN])
-def test_the_search_tries_every_member_of_a_class_on_captured_names(calculus):
-    assert assert_same_witnesses(CAPTURED, calculus) > 0
+def test_pairs_the_reference_separates_stay_separated_on_captured_names(calculus):
+    assert assert_separated_pairs_stay_separated(CAPTURED, calculus) > 0
 
 
-@pytest.mark.parametrize("calculus,dead,classes,first_classes",
-                         [(CBV, 90, 85, 49), (CBN, 140, 40, 28)])
-def test_the_context_table(calculus, dead, classes, first_classes):
-    groups = _classes(calculus)
-    assert len(_contexts()) == len(groups) == 275
-    assert groups.count(None) == dead
-    assert len(set(groups) - {None}) == classes
-    # the classes the search meets when it skips the second of each mirror pair
-    assert len({group for (*_, first), group in zip(_contexts(), groups)
-                if first and group is not None}) == first_classes
+def _numerals(n):
+    """Terms of value n: the numeral, and for n >= 2 an addition and a
+    multiplication of smaller numerals, whose normal forms by value keep
+    explicit substitutions."""
+    yield _church(n)
+    if n >= 2:
+        yield rf"({ADD}) ({_church(1)}) ({_church(n - 1)})"
+        a = next(a for a in range(2, n + 1) if n % a == 0)
+        yield rf"({MUL}) ({_church(a)}) ({_church(n // a)})"
 
 
-def assert_the_skip_rules_hold(terms, calculus):
-    """In every context of the search: a dead context gives no term the
-    status that its C<@> rules out (meaningless when C<@> reaches a
-    normal form, meaningful when it cycles), and the members of a class
-    give each term one status where the oracle decides it."""
-    oracle = Oracle(calculus, CONTEXT_FUEL)
-    table = [(ctx, hole, group) for (ctx, hole, _), group in zip(_contexts(), _classes(calculus))]
-    ruled_out = {i: MEANINGFUL if normalize(ctx, calculus, 0.0, CONTEXT_FUEL).outcome == "cycle"
-                 else MEANINGLESS
-                 for i, (ctx, _, group) in enumerate(table) if group is None}
-    for t in terms:
-        assert not any(_CONTEXT_BINDER.fullmatch(x) for x in t.free)
-        statuses = {}
-        for i, (ctx, hole, group) in enumerate(table):
-            status = oracle.status(replace_at(ctx, hole, t))
-            if group is None:
-                assert status != ruled_out[i], (show(t), show(ctx))
-            elif status != UNKNOWN:
-                assert statuses.setdefault(group, status) == status, (show(t), show(ctx))
+def assert_separated_by_a_built_context(left, right, calculus):
+    j = judge(p(left), p(right), calculus)
+    assert (j[HSTAR].result, j[HSTAR].certificate.kind) == (NOT_EQUAL, "context-witness"), (
+        left, right)
+    assert reverify(j)
+    return j
 
 
 @pytest.mark.parametrize("calculus", [CBV, CBN])
-def test_dead_contexts_and_classes_on_fixed_terms(calculus):
-    assert_the_skip_rules_hold([p(s) for s in FIXED_TERMS + POOL], calculus)
+def test_a_built_context_separates_church_n_from_n_plus_1(calculus):
+    pairs = [(t, u) for n in range(7) for t in _numerals(n) for u in _numerals(n + 1)]
+    for t, u in pairs:
+        assert_separated_by_a_built_context(t, u, calculus)
+    # by value some of the arithmetic reaches normal forms with explicit substitutions
+    assert any("[" in show(normalize(p(t), CBV, OMEGA).final) for t, _ in pairs)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("calculus", [CBV, CBN])
-def test_dead_contexts_and_classes_on_random_terms(calculus):
-    rng = random.Random(f"skip-rules/{calculus}")
-    assert_the_skip_rules_hold([random_term(rng, rng.randint(2, 10)) for _ in range(500)],
-                               calculus)
+@pytest.mark.parametrize("left,right,calculus", [
+    (r"\x.\y.y", f"y ({OMEGA_LOOP})", CBN),
+    (r"\x.y x", "x y", CBV),
+])
+def test_a_built_context_separates_pairs_out_of_reach_of_size_5(left, right, calculus):
+    assert reference_search(p(left), p(right), calculus) is None
+    assert_separated_by_a_built_context(left, right, calculus)
+
+
+def test_reverify_rejects_a_built_context_with_its_divergent_argument_made_harmless():
+    j = assert_separated_by_a_built_context(_church(2), _church(3), CBV)
+    cert = j[HSTAR].certificate
+    args, ctx = [], cert.data["context"]
+    while isinstance(ctx, App):
+        args.append(ctx.arg)
+        ctx = ctx.fun
+    assert any(alpha_eq(a, diverger(1)) for a in args)
+    for a in reversed(args):
+        ctx = App(ctx, p(r"\i.i") if alpha_eq(a, diverger(1)) else a)
+    tampered = Certificate("context-witness", {**cert.data, "context": ctx})
+    assert not reverify(Judgment(j.left, j.right, CBV,
+                                 {HSTAR: Verdict(HSTAR, NOT_EQUAL, tampered)}))
+
+
+def test_same_value_pairs_by_value_stay_unknown_with_the_reason():
+    # Böhm trees by value are out of reach of the construction
+    j = judge(p(r"\f.\x.(f y)[y\f x]"), p(r"\f.\x.f (f x)"), CBV)
+    assert j[HSTAR].result == "unknown" and j[HSTAR].reason == NO_WITNESS
 
 
 class TestCertificates:
