@@ -48,13 +48,16 @@ MEANINGLESS = "meaningless"
 UNKNOWN = "unknown"
 
 
-def _status(trace: Trace) -> str:
-    """The status a surface trace proves by its outcome: a normal form
-    is meaningful unless a bot sits at its level 0, a cycle is
-    meaningless, and running out of fuel proves nothing."""
-    if trace.outcome == "normal":
-        return MEANINGLESS if has_bot_within(trace.final, trace.calculus, 0.0) else MEANINGFUL
-    return MEANINGLESS if trace.outcome == "cycle" else UNKNOWN
+def surface_status(run: Trace | Term, calculus: str) -> str:
+    """The status that a surface trace proves by its outcome, or that a
+    term with no surface redex has as its own normal form: a normal
+    form is meaningless exactly when a bot sits at its level 0, a cycle
+    is meaningless, and running out of fuel proves nothing."""
+    if type(run) is Trace:
+        if run.outcome != "normal":
+            return MEANINGLESS if run.outcome == "cycle" else UNKNOWN
+        run = run.final
+    return MEANINGLESS if has_bot_within(run, calculus, 0.0) else MEANINGFUL
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,15 @@ class MeaningReport:
 
 
 class Oracle:
-    """Memoizing meaningfulness oracle for one calculus.  Its memo of
-    reports and its table of the terms its decided traces passed
-    through, with their status and the bound r on their own traces, map
-    terms up to alpha."""
+    """Meaningfulness oracle for one calculus.  Its one table maps terms
+    up to alpha to their status and the bound r on their own traces: the
+    terms of decided traces, and each start that ran out of fuel as
+    unknown with r = fuel, too late for a run to join at after a step."""
 
     def __init__(self, calculus: str, fuel: int | None = None):
         self.calculus = calculus
         self.fuel = check_fuel(fuel)
         self._redex_level = min_level_reader(calculus)
-        self._memo = AlphaTable()
         self._known = AlphaTable()  # term -> (status, r)
         # the last approximant computed: for every node met on the way,
         # by id(node), the node itself (so that its id stays taken) and
@@ -84,45 +86,41 @@ class Oracle:
         self._approximants: dict[int, tuple[Term, Term]] = {}
 
     def meaning(self, t: Term) -> MeaningReport:
-        report = self._memo.get(t)
-        if report is not None:
-            return report
+        """The status of t, witnessed by its whole surface trace unless
+        the table has it as unknown; nothing of the report is kept."""
+        known = self._known.get(t)
+        if known is not None and known[0] == UNKNOWN:
+            return MeaningReport(UNKNOWN)
         trace = normalize(t, self.calculus, 0.0, self.fuel)
-        status = _status(trace)
-        if status != UNKNOWN and self._known.get(t) is None:
-            self._learn(trace)  # a known term's whole trace is known
-        report = MeaningReport(status, None if status == UNKNOWN else trace)
-        self._memo.add(t, report)
-        return report
+        status = self._learn(trace) if known is None else surface_status(trace, self.calculus)
+        return MeaningReport(status, None if status == UNKNOWN else trace)
 
     def status(self, t: Term) -> str:
         """The status of meaning(t), from a trace that stops at the first
         term whose status is known early enough to be the same."""
         if self._redex_level(t) > 0:  # no surface redex: t is its own normal form
-            return MEANINGLESS if has_bot_within(t, self.calculus, 0.0) else MEANINGFUL
+            return surface_status(t, self.calculus)
         known = self._known.get(t)
         if known is not None:
             return known[0]
-        report = self._memo.get(t)
-        if report is not None:
-            return report.status
-        trace = normalize(t, self.calculus, 0.0, self.fuel, self._known)
-        if trace.outcome == "fuel":  # it met no known term in time: the whole trace
-            self._memo.add(t, MeaningReport(UNKNOWN))
-            return UNKNOWN
-        return self._learn(trace)
+        return self._learn(normalize(t, self.calculus, 0.0, self.fuel, self._known))
 
     def _learn(self, trace: Trace) -> str:
         """Record every term of a decided trace but its last (a normal
-        form, a repeat or a known term) with its status and its bound r;
-        returns the status.  A term met again after a join it was too
-        late for keeps its first bound."""
+        form, a repeat or a known term) with its status and its bound r,
+        or the start of a trace that ran out of fuel (it met no known
+        term in time, so it is the whole trace) as unknown; returns the
+        status.  A term met again after a join it was too late for keeps
+        its first bound."""
         end = len(trace.steps)
         if trace.outcome == "joined":
             status, rest = self._known.get(trace.final)
             end += rest
         else:
-            status = _status(trace)
+            status = surface_status(trace, self.calculus)
+        if status == UNKNOWN:
+            self._known.add(trace.start, (UNKNOWN, self.fuel))
+            return UNKNOWN
         loop = len(trace.steps) if trace.cycle_start is None else trace.cycle_start
         for j, s in enumerate(trace.terms[:len(trace.steps)]):
             self._known.add(s, (status, end - min(j, loop)))
@@ -170,8 +168,8 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         if normal:
             status = MEANINGFUL
         elif oracle._redex_level(t) > 0:  # t is its own surface normal form
-            normal = not has_bot_within(t, oracle.calculus, 0.0)
-            status = MEANINGFUL if normal else MEANINGLESS
+            status = surface_status(t, oracle.calculus)
+            normal = status == MEANINGFUL
         else:
             status = oracle.status(t)
         if status == UNKNOWN:

@@ -49,12 +49,12 @@ def enumerate_contexts(
 ) -> Iterator[Term]:
     """All one-hole contexts up to the given size, smallest first."""
     terms = _terms_by_size(frees)
-    ctx_memo: dict[tuple[int, int], list[Term]] = {}
+    memo: dict[tuple[int, int], list[Term]] = {}
 
     def ctxs(size: int, depth: int) -> list[Term]:
         key = (size, depth)
-        if key in ctx_memo:
-            return ctx_memo[key]
+        if key in memo:
+            return memo[key]
         out: list[Term] = []
         if size == 1:
             out.append(HOLE)
@@ -71,7 +71,7 @@ def enumerate_contexts(
                 out.extend(
                     Es(b, binder, a) for b in terms(i, depth + 1) for a in ctxs(j, depth)
                 )
-        ctx_memo[key] = out
+        memo[key] = out
         return out
 
     for size in range(1, max_size + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .terms import Abs, App, Es, Hole, Position, Term, Var, alpha_eq, free_vars, path_to, plug
 from .reduce import Step, _peel_es_spine, normalize
+from .approx import MEANINGFUL, MEANINGLESS, surface_status
 from .typecheck import SYSTEM_OF, synth_nf_derivation
 from .types_core import (
     EMPTY,
@@ -321,14 +322,14 @@ def typable(t: Term, calculus: str, fuel: int | None = None):
     """Decide typability of a term by surface normalization.
 
     Returns (status, derivation) with status in "typable" (derivation
-    attached), "untypable" (the surface reduction loops), or "unknown"
-    (fuel ran out).
+    attached), "untypable" or "unknown": the status of the surface trace
+    read as meaningful, meaningless or unknown.  Neither type system has
+    a rule for bot, so a normal form with a bot at level 0 is untypable.
     """
     trace = normalize(t, calculus, 0.0, fuel)
-    if trace.outcome == "cycle":
-        return "untypable", None
-    if trace.outcome == "fuel":
-        return "unknown", None
+    status = surface_status(trace, calculus)
+    if status != MEANINGFUL:
+        return ("untypable" if status == MEANINGLESS else "unknown"), None
     d = synth_nf_derivation(trace.final, calculus)
     system = SYSTEM_OF[calculus]
     for step in reversed(trace.steps):

@@ -27,6 +27,7 @@ from .reduce import Step, apply_step, find_redexes, normalize, step_from_dict, s
 from .nf import NOT_NF, classify_nf, is_bno, is_normal, strat_eq
 from .approx import (
     MEANINGLESS,
+    UNKNOWN,
     Mapped,
     Oracle,
     Undetermined,
@@ -41,7 +42,6 @@ OK = "ok"
 VIOLATED = "violated"
 VACUOUS = "vacuous"  # C<t> has no normal form at this level: nothing to check
 INAPPLICABLE = "inapplicable"  # t is meaningful: the theorem's hypothesis fails
-UNKNOWN = "unknown"
 
 # the oracle fuel of the axiom campaigns and of their replays, which
 # must agree for a recorded violation to occur again
@@ -72,7 +72,7 @@ def stratified_genericity_check(
 ) -> GenericityReport:
     oracle = oracle or Oracle(calculus, fuel)
     status = oracle.status(t)
-    if status == "unknown":
+    if status == UNKNOWN:
         return GenericityReport(UNKNOWN, level, "cannot decide meaninglessness of t")
     if status != MEANINGLESS:
         return GenericityReport(

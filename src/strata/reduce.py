@@ -33,7 +33,6 @@ from .terms import (
     CBV,
     NO_REDEX,
     OTHER,
-    Abs,
     AlphaTable,
     App,
     Es,
@@ -44,7 +43,6 @@ from .terms import (
     alpha_eq,
     fresh_name,
     free_vars,
-    is_value,
     level_of,
     parse,
     parse_level,
@@ -93,18 +91,17 @@ def _peel_es_spine(t: Term) -> tuple[list[tuple[str, Term]], Term]:
 
 
 def _rule_at(t: Term, calculus: str) -> str | None:
-    """The rule (if any) whose left-hand side matches at the root of t."""
-    match t:
-        case App(f, _):
-            _, core = _peel_es_spine(f)
-            return DB if isinstance(core, Abs) else None
-        case Es(_, _, a):
-            if calculus == CBN:
-                return SN
-            _, core = _peel_es_spine(a)
-            return SV if is_value(core) else None
-        case _:
-            return None
+    """The rule (if any) whose left-hand side matches at the root of t,
+    read from the summaries of its children: dB needs an abstraction
+    under the function's spine, sv a value under the argument's."""
+    kind = type(t)
+    if kind is App:
+        return DB if t.fun.core == ABS else None
+    if kind is Es:
+        if calculus == CBN:  # sN matches every substitution
+            return SN
+        return SV if t.arg.core != OTHER else None
+    return None
 
 
 def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:

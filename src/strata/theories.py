@@ -16,9 +16,9 @@ permutator \\a.\\t.t a and selectors, padding arguments and a
 divergent argument \\a.Ω, placed at the first difference.  A built
 context counts only once an oracle at CONTEXT_FUEL decides one
 plugging meaningful and the other meaningless, and reverify decides
-them again.  Every pair of the tests' corpora that some context of size
-at most 5 separates, the built context separates too, so no search
-over contexts runs.
+them again at that fuel.  Every pair of the tests' corpora that some
+context of size at most 5 separates, the built context separates too,
+so no search over contexts runs.
 """
 
 from __future__ import annotations
@@ -157,8 +157,10 @@ def judge(t: Term, u: Term, calculus: str, fuel: int | None = None) -> Judgment:
 
 def reverify(j: Judgment, fuel: int | None = None) -> bool:
     """Re-check every non-Unknown verdict's certificate from scratch,
-    and that the certificate proves that verdict in that theory."""
+    and that the certificate proves that verdict in that theory; context
+    witnesses at CONTEXT_FUEL, the fuel they were found at."""
     oracle = Oracle(j.calculus, fuel)
+    context_oracle = Oracle(j.calculus, CONTEXT_FUEL)
     traces: dict[str, Trace] = {}
 
     def omega(side: str) -> Trace:
@@ -206,7 +208,7 @@ def reverify(j: Judgment, fuel: int | None = None) -> bool:
                         tr = omega(side)
                         if tr.outcome != "normal" or not alpha_eq(tr.final, s):
                             return False
-                    plugged.append(oracle.status(plug(c.data["context"], s)))
+                    plugged.append(context_oracle.status(plug(c.data["context"], s)))
                 if set(plugged) != {MEANINGFUL, MEANINGLESS}:
                     return False
     return True

@@ -1,8 +1,10 @@
 """Meaningfulness oracle, approximants, and the step
 approximation/lifting machinery."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -77,14 +79,38 @@ class TestOracle:
         monkeypatch.setattr(strata.terms, "alpha_eq",
                             lambda t, u: walks.append(u) or alpha_eq(t, u))
         oracle = Oracle(CBV, 40)
-        report = oracle.meaning(parse(r"x (\y.z)"))  # normal: no step, no entry
+        # one step to a normal form: the start is learned, nothing walked
+        assert oracle.status(parse(r"(\a.a) (x z)")) == MEANINGFUL
         assert walks == []
         # same fingerprint, other free names: a miss that walks nothing
-        assert oracle.meaning(parse(r"y (\y.z)")) is not report
+        assert oracle.status(parse(r"(\a.a) (y z)")) == MEANINGFUL
         assert walks == []
-        # an alpha-variant: one walk, and the memo's report
-        assert oracle.meaning(parse(r"x (\w.z)")) is report
+        # an alpha-variant: one walk, over its own row alone, and no run
+        monkeypatch.setattr(strata.approx, "normalize", None)
+        assert oracle.status(parse(r"(\b.b) (x z)")) == MEANINGFUL
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_meaning_keeps_no_report(self, calculus):
+        oracle = Oracle(calculus, 40)
+        report = oracle.meaning(parse(OMEGA_LOOP))
+        witness = weakref.ref(report.witness)
+        del report
+        gc.collect()
+        assert witness() is None
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_an_undecided_term_is_answered_again_without_a_run(self, calculus, monkeypatch):
+        oracle = Oracle(calculus, 40)
+        assert oracle.status(parse(GROWER)) == UNKNOWN
+        runs = []
+        normalize = strata.approx.normalize
+        monkeypatch.setattr(strata.approx, "normalize",
+                            lambda *a: runs.append(a) or normalize(*a))
+        assert oracle.status(parse(GROWER)) == UNKNOWN
+        report = oracle.meaning(parse(r"(\y.y y y) (\y.y y y)"))
+        assert report.status == UNKNOWN and report.witness is None
+        assert runs == []
 
     @pytest.mark.parametrize("calculus", [CBV, CBN])
     @pytest.mark.parametrize("text", ["x", r"\y.z", OMEGA_LOOP, GROWER])

@@ -20,12 +20,14 @@ from strata.reduce import (
     SN,
     SV,
     Redex,
+    _rule_at,
     min_redex_level,
     step_from_dict,
     step_to_dict,
     trace_to_dict,
 )
-from strata.terms import free_vars, show
+from strata.corpus import enumerate_terms
+from strata.terms import Abs, App, Es, free_vars, is_value, show, subterms
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -93,6 +95,28 @@ class TestRules:
     def test_cbn_closure_discards_unused_argument(self):
         s = reduce_once(parse(rf"(y)[x\{OMEGA_LOOP}]"), CBN, 0.0)
         assert s.rule == SN and s.after == parse("y")
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_rules_read_from_summaries_match_the_spine_walk(self, calculus):
+        def spine_core(t):
+            while isinstance(t, Es):
+                t = t.body
+            return t
+
+        def walked_rule_at(t):
+            match t:
+                case App(f, _):
+                    return DB if isinstance(spine_core(f), Abs) else None
+                case Es(_, _, a):
+                    if calculus == CBN:
+                        return SN
+                    return SV if is_value(spine_core(a)) else None
+                case _:
+                    return None
+
+        for t in enumerate_terms(6):
+            for _, s in subterms(t):
+                assert _rule_at(s, calculus) == walked_rule_at(s), show(s)
 
 
 class TestLevelGating:

@@ -236,6 +236,16 @@ def test_a_built_context_separates_pairs_out_of_reach_of_size_5(left, right, cal
     assert_separated_by_a_built_context(left, right, calculus)
 
 
+@pytest.mark.parametrize("fuel", [5, 10])
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_a_context_witness_is_reverified_at_the_fuel_it_was_found_at(calculus, fuel):
+    # the judge builds and checks the context at CONTEXT_FUEL, whatever
+    # the fuel it is given, and so does reverify
+    j = judge(p(_church(2)), p(_church(3)), calculus, fuel)
+    assert (j[HSTAR].result, j[HSTAR].certificate.kind) == (NOT_EQUAL, "context-witness")
+    assert reverify(j, fuel)
+
+
 def test_reverify_rejects_a_built_context_with_its_divergent_argument_made_harmless():
     j = assert_separated_by_a_built_context(_church(2), _church(3), CBV)
     cert = j[HSTAR].certificate
