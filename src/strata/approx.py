@@ -159,19 +159,17 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
         """pos: t's position, as a chain (position of the parent, edge),
         () at the root.  normal: t sits at level 0 of a node with no
         surface redex and no bot at level 0, so t has neither and is
-        meaningful: the test runs once per level-0 region, not once per
-        node."""
+        meaningful: the oracle is asked once per level-0 region, not
+        once per node."""
         hit = last.get(id(t)) or table.get(id(t))
         if hit is not None:
             table[id(t)] = hit
             return hit[1]
         if normal:
             status = MEANINGFUL
-        elif oracle._redex_level(t) > 0:  # t is its own surface normal form
-            status = surface_status(t, oracle.calculus)
-            normal = status == MEANINGFUL
         else:
             status = oracle.status(t)
+            normal = status == MEANINGFUL and oracle._redex_level(t) > 0
         if status == UNKNOWN:
             edges = []
             while pos:

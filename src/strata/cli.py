@@ -9,8 +9,8 @@ by running out of recursion depth): never a verdict.
 
 genericity answers for all its probes at once: 1 if one is violated,
 else 3 if one is inapplicable, else 2 if one is unknown, else 0.  A
-vacuous probe (C<t> has no normal form at the level) is decided: the
-theorem holds trivially.
+vacuous probe (C<t> has no normal form at the level, or one with a bot
+at or above the level) is decided: the theorem holds trivially.
 """
 
 from __future__ import annotations

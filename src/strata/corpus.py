@@ -8,28 +8,35 @@ from typing import Iterator
 from .terms import BOT, HOLE, Abs, App, Es, Term, Var
 
 
-def _terms_by_size(frees: tuple[str, ...]):
-    """The memoized table of enumerate_terms: at(size, depth) lists the
-    terms of that size under depth binders named b0, b1, ..."""
-    memo: dict[tuple[int, int], list[Term]] = {}
+def by_size(frees: tuple[str, ...]):
+    """The memoized generator of terms and contexts: at(size, depth,
+    holes) lists the terms (holes=0) or the one-hole contexts (holes=1)
+    of that size under depth binders named b0, b1, ...  At each split of
+    an application or a substitution the hole goes left before right."""
+    memo: dict[tuple[int, int, int], list[Term]] = {}
 
-    def at(size: int, depth: int) -> list[Term]:
-        key = (size, depth)
+    def at(size: int, depth: int, holes: int) -> list[Term]:
+        key = (size, depth, holes)
         if key in memo:
             return memo[key]
         out: list[Term] = []
         if size == 1:
-            out.extend(Var(v) for v in frees)
-            out.extend(Var(f"b{i}") for i in range(depth))
+            if holes:
+                out.append(HOLE)
+            else:
+                out.extend(Var(v) for v in frees)
+                out.extend(Var(f"b{i}") for i in range(depth))
         else:
             binder = f"b{depth}"
-            out.extend(Abs(binder, b) for b in at(size - 1, depth + 1))
+            out.extend(Abs(binder, b) for b in at(size - 1, depth + 1, holes))
             for i in range(1, size - 1):
                 j = size - 1 - i
-                out.extend(App(f, a) for f in at(i, depth) for a in at(j, depth))
-                out.extend(
-                    Es(b, binder, a) for b in at(i, depth + 1) for a in at(j, depth)
-                )
+                for h in range(holes, -1, -1):
+                    out.extend(App(f, a) for f in at(i, depth, h)
+                               for a in at(j, depth, holes - h))
+                for h in range(holes, -1, -1):
+                    out.extend(Es(b, binder, a) for b in at(i, depth + 1, h)
+                               for a in at(j, depth, holes - h))
         memo[key] = out
         return out
 
@@ -39,43 +46,18 @@ def _terms_by_size(frees: tuple[str, ...]):
 def enumerate_terms(max_size: int) -> Iterator[Term]:
     """All terms up to the given size over the free variables x and y,
     one per alpha-class (binders are named canonically by depth)."""
-    at = _terms_by_size(("x", "y"))
+    at = by_size(("x", "y"))
     for size in range(1, max_size + 1):
-        yield from at(size, 0)
+        yield from at(size, 0, 0)
 
 
 def enumerate_contexts(
     max_size: int, frees: tuple[str, ...] = ("x", "y")
 ) -> Iterator[Term]:
     """All one-hole contexts up to the given size, smallest first."""
-    terms = _terms_by_size(frees)
-    memo: dict[tuple[int, int], list[Term]] = {}
-
-    def ctxs(size: int, depth: int) -> list[Term]:
-        key = (size, depth)
-        if key in memo:
-            return memo[key]
-        out: list[Term] = []
-        if size == 1:
-            out.append(HOLE)
-        else:
-            binder = f"b{depth}"
-            out.extend(Abs(binder, b) for b in ctxs(size - 1, depth + 1))
-            for i in range(1, size - 1):
-                j = size - 1 - i
-                out.extend(App(f, a) for f in ctxs(i, depth) for a in terms(j, depth))
-                out.extend(App(f, a) for f in terms(i, depth) for a in ctxs(j, depth))
-                out.extend(
-                    Es(b, binder, a) for b in ctxs(i, depth + 1) for a in terms(j, depth)
-                )
-                out.extend(
-                    Es(b, binder, a) for b in terms(i, depth + 1) for a in ctxs(j, depth)
-                )
-        memo[key] = out
-        return out
-
+    at = by_size(frees)
     for size in range(1, max_size + 1):
-        yield from ctxs(size, 0)
+        yield from at(size, 0, 1)
 
 
 def random_term(

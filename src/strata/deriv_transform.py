@@ -88,28 +88,26 @@ def _arrows(premises, binder: str) -> Mult:
 
 
 def _split_value(dv: Derivation, need: Mult) -> tuple[Derivation, Derivation]:
-    """Split a value derivation into one proving the needed multiset and
-    one proving the rest."""
-    match dv.rule:
-        case "var":
-            return derive("var", dv.term, need), derive("var", dv.term, mult_minus(dv.ty, need))
-        case "abs":
-            binder = dv.term.binder
-            avail = list(dv.premises)
-            taken: list[Derivation] = []
-            for want in need.items:
-                for i, p in enumerate(avail):
-                    if Arrow(p.env_dict.get(binder, EMPTY), p.ty) == want:
-                        taken.append(avail.pop(i))
-                        break
-                else:
-                    raise TransformError(
-                        f"value derivation cannot supply {show_ty(want)}"
-                    )
-            return tuple(derive("abs", dv.term, _arrows(ps, binder), tuple(ps))
-                         for ps in (taken, avail))
-        case r:
-            raise TransformError(f"a value derivation ends in var or abs, not {r}")
+    """Split a value derivation, a var or an abs node, into one proving
+    the needed multiset and one proving the rest."""
+    if dv.rule == "var":
+        try:
+            rest = mult_minus(dv.ty, need)
+        except ValueError:
+            raise TransformError(f"value derivation cannot supply {show_ty(need)}") from None
+        return derive("var", dv.term, need), derive("var", dv.term, rest)
+    binder = dv.term.binder
+    avail = list(dv.premises)
+    taken: list[Derivation] = []
+    for want in need.items:
+        for i, p in enumerate(avail):
+            if Arrow(p.env_dict.get(binder, EMPTY), p.ty) == want:
+                taken.append(avail.pop(i))
+                break
+        else:
+            raise TransformError(f"value derivation cannot supply {show_ty(want)}")
+    return tuple(derive("abs", dv.term, _arrows(ps, binder), tuple(ps))
+                 for ps in (taken, avail))
 
 
 def _merge_value(copies: list[Derivation], v: Term) -> Derivation:

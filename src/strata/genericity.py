@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .terms import (Level, Term, bot_positions, parse, partial_leq, plug, replace_at,
                     show, subterms)
 from .reduce import Step, apply_step, find_redexes, normalize, step_from_dict, step_to_dict
-from .nf import NOT_NF, classify_nf, is_bno, is_normal, strat_eq
+from .nf import NOT_NF, classify_nf, has_bot_within, is_bno, is_normal, strat_eq
 from .approx import (
     MEANINGLESS,
     UNKNOWN,
@@ -40,7 +40,7 @@ from .corpus import random_term
 
 OK = "ok"
 VIOLATED = "violated"
-VACUOUS = "vacuous"  # C<t> has no normal form at this level: nothing to check
+VACUOUS = "vacuous"  # C<t> has no partial normal form at this level: nothing to check
 INAPPLICABLE = "inapplicable"  # t is meaningful: the theorem's hypothesis fails
 
 # the oracle fuel of the axiom campaigns and of their replays, which
@@ -89,7 +89,7 @@ def stratified_genericity_check(
     trace = normalize(ct, calculus, level, fuel)
     if trace.outcome == "fuel":
         return GenericityReport(UNKNOWN, level, "normalization of C<t> ran out of fuel")
-    if trace.outcome == "cycle":
+    if trace.outcome == "cycle" or has_bot_within(trace.final, calculus, level):
         return GenericityReport(VACUOUS, level, "C<t> has no normal form at this level")
 
     partial_steps: list[Step] = []

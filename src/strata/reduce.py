@@ -47,11 +47,11 @@ from .terms import (
     parse,
     parse_level,
     path_to,
+    rebuild,
     show,
     show_level,
     subst,
     subterms,
-    with_child,
 )
 
 DB = "dB"
@@ -235,10 +235,7 @@ def apply_step(t: Term, redex: Redex, calculus: str) -> Step:
     rule = _rule_at(sub, calculus)
     if rule != redex.rule:
         raise ValueError(f"no {redex.rule} redex at position {''.join(pos) or 'root'}")
-    after = _contract(sub, rule)
-    for i in range(len(pos) - 1, -1, -1):
-        after = with_child(path[i], pos[i], after)
-    return Step(t, after, pos, rule, redex.level)
+    return Step(t, rebuild(path, pos, _contract(sub, rule)), pos, rule, redex.level)
 
 
 def reduce_once(t: Term, calculus: str, level: Level) -> Step | None:

@@ -249,13 +249,18 @@ def with_child(node: Term, edge: str, child: Term) -> Term:
     return Es(node.body, node.binder, child)
 
 
-def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    """t with the subterm at pos replaced by new; only the nodes on the
-    path to pos are rebuilt."""
-    path = path_to(t, pos)
+def rebuild(path: list[Term] | tuple[Term, ...], pos: Position, new: Term) -> Term:
+    """The term at the head of path, the nodes from its root to pos, with
+    new in place of the subterm at pos; only the nodes of path are
+    rebuilt, bottom-up."""
     for i in range(len(pos) - 1, -1, -1):
         new = with_child(path[i], pos[i], new)
     return new
+
+
+def replace_at(t: Term, pos: Position, new: Term) -> Term:
+    """t with the subterm at pos replaced by new."""
+    return rebuild(path_to(t, pos), pos, new)
 
 
 def level_of(pos: Position, calculus: str) -> Level:

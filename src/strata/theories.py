@@ -28,7 +28,7 @@ from typing import Optional
 
 from .terms import OMEGA, AlphaTable, Term, alpha_eq, plug
 from .reduce import Trace, normalize
-from .approx import MEANINGFUL, MEANINGLESS, Oracle
+from .approx import MEANINGFUL, MEANINGLESS, UNKNOWN, Oracle
 from .bohm import separating_context
 
 LAMBDA = "conversion"
@@ -38,7 +38,6 @@ THEORIES = (LAMBDA, H, HSTAR)
 
 EQUAL = "equal"
 NOT_EQUAL = "not-equal"
-UNKNOWN = "unknown"
 
 # the oracle fuel of each term a separating context is built from or
 # plugged with

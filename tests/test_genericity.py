@@ -57,6 +57,44 @@ class TestPipeline:
             cbv_oracle)
         assert r.status == "vacuous"
 
+    @pytest.mark.parametrize("filler, ctx_text, level, calculus, status", [
+        (OMEGA_LOOP, r"(\z.bot) @", 0.0, CBN, "vacuous"),
+        ("bot", "@", 0.0, CBV, "vacuous"),
+        ("x bot", r"\z.@", 1.0, CBV, "vacuous"),
+        (r"\z.bot", "@", 0.0, CBN, "vacuous"),
+        (OMEGA_LOOP, r"bot (\z.@)", 0.0, CBV, "vacuous"),
+        ("x bot", r"\z.@", 0.0, CBV, "ok"),
+    ])
+    def test_a_normal_form_with_a_bot_within_the_level_is_vacuous(
+            self, filler, ctx_text, level, calculus, status):
+        # a level-k normal form of the partial calculus has no bot at
+        # level k or above: one that does is not the theorem's hypothesis
+        r = stratified_genericity_check(p(filler), parse_context(ctx_text), p("y"),
+                                        calculus, level, Oracle(calculus, 200))
+        assert r.status == status, r.detail
+
+    @pytest.mark.parametrize("name, wrong, detail", [
+        ("is_bno", lambda *a: False,
+         "partial endpoint is not a partial normal form at this level"),
+        ("partial_leq", lambda *a: False, "approximant of C<t> does not sit below C<u>"),
+        ("is_normal", lambda *a: False, "lifted C<t> endpoint is not normal"),
+        ("classify_nf", lambda *a: genericity.NOT_NF,
+         "lifted C<u> endpoint escapes the normal-form grammar"),
+        ("strat_eq", lambda *a: False, "endpoints differ below the observation level"),
+    ])
+    def test_a_wrong_checker_makes_the_check_violated(self, monkeypatch, name, wrong, detail):
+        # a case the gate answers ok, with one of the checks it rests on
+        # made to answer wrongly
+        def check():
+            return stratified_genericity_check(
+                p(OMEGA_LOOP), parse_context(rf"(\y.{ID}) (\z.@)"), p("x"), CBV, OMEGA,
+                Oracle(CBV, GATE_FUEL), GATE_FUEL)
+
+        assert check().status == "ok"
+        monkeypatch.setattr(genericity, name, wrong)
+        r = check()
+        assert (r.status, r.detail) == ("violated", detail)
+
     def test_meaningful_seed_is_rejected(self, cbv_oracle):
         r = stratified_genericity_check(
             p(ID), parse_context(rf"(\y.{ID}) (\z.@)"), p("x"), CBV, 0.0,
@@ -138,6 +176,20 @@ class TestCertificateReplay:
         cert = {"kind": kind, "calculus": CBV, "step": step, "refined": rf"({ID}) y"}
         with pytest.raises(ValueError, match="does not match a redex"):
             reproduce_violation(cert)
+
+    def test_refinement_certificates_replay(self):
+        # x refined to y is no refinement at omega: the failure recurs;
+        # x bot refined to x y is, by name at level 0
+        true = {"kind": "refinement", "calculus": CBV, "level": OMEGA,
+                "term": "x", "refined": "y"}
+        sound = {"kind": "refinement", "calculus": CBN, "level": 0.0,
+                 "term": "x bot", "refined": "x y"}
+        assert reproduce_violation(true) is True
+        assert reproduce_violation(sound) is False
+
+    def test_an_unknown_kind_is_an_error(self):
+        with pytest.raises(ValueError, match="unknown violation kind: typo"):
+            reproduce_violation({"kind": "typo", "calculus": CBV})
 
     def test_sound_steps_replay_as_non_violations(self):
         cert, step = self._step_cert("approximate", CBV, rf"({ID}) ({ID})")

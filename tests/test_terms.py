@@ -25,6 +25,7 @@ from strata import (
     subst,
 )
 from strata.terms import (
+    HOLE,
     ParseError,
     canonical,
     fresh_name,
@@ -40,7 +41,7 @@ from strata.terms import (
     tokenize,
 )
 
-from strata.corpus import enumerate_contexts, random_term
+from strata.corpus import by_size, enumerate_contexts, enumerate_terms, random_term
 
 from conftest import ID, OMEGA_LOOP
 
@@ -446,6 +447,63 @@ class TestContexts:
                             r"z[b0\@]", r"b0[b0\@]"]
         assert len(ctxs) == 32 and all(is_context(c) for c in enumerate_contexts(5))
         assert len(list(enumerate_contexts(5))) == 275
+
+    @pytest.mark.parametrize("frees", [("x", "y"), ("z",)])
+    def test_one_generator_keeps_the_order_of_two(self, frees):
+        """The generator of terms and contexts lists them in the order of
+        the two enumerators it replaced, copied here."""
+
+        def terms_table():
+            memo = {}
+
+            def at(size, depth):
+                if (size, depth) not in memo:
+                    out = []
+                    if size == 1:
+                        out.extend(Var(v) for v in frees)
+                        out.extend(Var(f"b{i}") for i in range(depth))
+                    else:
+                        binder = f"b{depth}"
+                        out.extend(Abs(binder, b) for b in at(size - 1, depth + 1))
+                        for i in range(1, size - 1):
+                            j = size - 1 - i
+                            out.extend(App(f, a) for f in at(i, depth) for a in at(j, depth))
+                            out.extend(Es(b, binder, a) for b in at(i, depth + 1)
+                                       for a in at(j, depth))
+                    memo[size, depth] = out
+                return memo[size, depth]
+
+            return at
+
+        terms, memo = terms_table(), {}
+
+        def ctxs(size, depth):
+            if (size, depth) not in memo:
+                out = []
+                if size == 1:
+                    out.append(HOLE)
+                else:
+                    binder = f"b{depth}"
+                    out.extend(Abs(binder, b) for b in ctxs(size - 1, depth + 1))
+                    for i in range(1, size - 1):
+                        j = size - 1 - i
+                        out.extend(App(f, a) for f in ctxs(i, depth) for a in terms(j, depth))
+                        out.extend(App(f, a) for f in terms(i, depth) for a in ctxs(j, depth))
+                        out.extend(Es(b, binder, a) for b in ctxs(i, depth + 1)
+                                   for a in terms(j, depth))
+                        out.extend(Es(b, binder, a) for b in terms(i, depth + 1)
+                                   for a in ctxs(j, depth))
+                memo[size, depth] = out
+            return memo[size, depth]
+
+        at = by_size(frees)
+        for size in range(1, 8):
+            assert at(size, 0, 0) == terms(size, 0)
+        for size in range(1, 7):
+            assert at(size, 0, 1) == ctxs(size, 0)
+        assert list(enumerate_contexts(6, frees)) == [c for n in range(1, 7) for c in ctxs(n, 0)]
+        if frees == ("x", "y"):
+            assert list(enumerate_terms(7)) == [t for n in range(1, 8) for t in terms(n, 0)]
 
 
 class TestStructure:

@@ -4,6 +4,7 @@ terms, and the observational theory."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -187,6 +188,36 @@ def test_pairs_the_reference_separates_stay_separated_on_a_corpus(calculus):
         pairs.append(rng.choice([(t, f"({u}) ({OMEGA_LOOP})"),
                                  (OMEGA_LOOP, f"({OMEGA_LOOP}) ({t})"), (t, u)]))
     assert assert_separated_pairs_stay_separated(pairs, calculus) > 0
+
+
+# Consistency of the mute theory as an exhaustive gate: no context of
+# enumerate_contexts(5) tells two meaningless fillers apart, under mute
+# or observational equality, and every judgment reverifies.  The fillers
+# are those of the five below that are meaningless in the calculus:
+# \z.Omega is meaningful by value and x Omega by name.
+MUTE_CANDIDATES = [OMEGA_LOOP, rf"\z.{OMEGA_LOOP}", rf"x ({OMEGA_LOOP})",
+                   rf"(\x.x ({OMEGA_LOOP})) (\y.{OMEGA_LOOP})", rf"({ID}) ({OMEGA_LOOP})"]
+MUTE_FUEL = 200
+
+
+@pytest.mark.parametrize("calculus, expected", [
+    (CBV, {("equal", "both-meaningless"): 1035, ("equal", "common-reduct"): 165,
+           ("unknown", None): 450}),
+    (CBN, {("equal", "both-meaningless"): 408, ("equal", "common-reduct"): 1080,
+           ("unknown", None): 162}),
+])
+def test_no_context_separates_two_meaningless_terms(calculus, expected):
+    oracle = Oracle(calculus, MUTE_FUEL)
+    fillers = [p(t) for t in MUTE_CANDIDATES if oracle.status(p(t)) == MEANINGLESS]
+    assert len(fillers) == 4
+    tally = Counter()
+    for ctx in enumerate_contexts(5):
+        for a, b in itertools.combinations(fillers, 2):
+            j = judge(plug(ctx, a), plug(ctx, b), calculus, MUTE_FUEL)
+            assert NOT_EQUAL not in (j[H].result, j[HSTAR].result), show(ctx, rename=False)
+            assert reverify(j, MUTE_FUEL)
+            tally[j[H].result, j[H].certificate and j[H].certificate.kind] += 1
+    assert tally == expected
 
 
 # terms with a free name that the reference's context binders use, which

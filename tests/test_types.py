@@ -17,6 +17,7 @@ from strata import (
     CBV,
     DEFAULT_PROBES,
     Es,
+    OMEGA,
     Var,
     alpha_eq,
     check_derivation,
@@ -39,7 +40,7 @@ from strata.deriv_transform import (
     reduce_derivation,
 )
 from strata.reduce import Step
-from strata.typecheck import SYS_N, SYS_V
+from strata.typecheck import SYS_N, SYS_V, SYSTEM_OF
 from strata.types_core import (
     EMPTY,
     Arrow,
@@ -431,6 +432,120 @@ class TestReplay:
             with pytest.raises(TransformError) as exc:
                 replay(typable(src, calculus)[1], bogus, system)
             assert str(exc.value) == "unknown rule xx"
+
+
+# Each local transform refuses a derivation that is corrupted at the
+# redex with a TransformError, as the walker refuses a step it cannot
+# reach or a derivation of another term.  A case is (direction, calculus,
+# the text of a term whose first surface step is at the root, the
+# corrupted derivation of the endpoint the replay starts from, made from
+# that endpoint, the message).
+ARROW = Arrow(EMPTY, A)
+
+
+def _spine_demand_changed(t):
+    # (\x.x)[z\w] y, whose argument w is typed with a demand that z,
+    # absent from the body, does not make
+    lam, w, y = t.fun.body, t.fun.arg, t.arg
+    d_abs = mk("abs", {}, lam, m(Arrow(EMPTY, EMPTY)), (mk("var", {}, lam.body, EMPTY),))
+    d_es = mk("es", {"w": m(A)}, t.fun, m(Arrow(EMPTY, EMPTY)),
+              (d_abs, mk("var", {"w": m(A)}, w, m(A))))
+    return mk("app", {"w": m(A)}, t, EMPTY, (d_es, mk("var", {}, y, EMPTY)))
+
+
+REFUSALS = [
+    ("reduce", CBV, rf"({ID}) y", lambda t: mk("abs", {}, t, A),
+     "dB expects an application node"),
+    ("reduce", CBV, rf"({ID}) y",
+     lambda t: mk("app", {}, t, A, (mk("var", {}, t.fun, A), mk("var", {}, t.arg, EMPTY))),
+     "dB expects an abstraction under the spine"),
+    ("reduce", CBV, rf"({ID}) y",
+     lambda t: mk("app", {}, t, A, (mk("abs", {}, t.fun, EMPTY), mk("var", {}, t.arg, EMPTY))),
+     "a singleton arrow multiset carries one premise"),
+    ("reduce", CBN, rf"({ID}) y", lambda t: mk("app", {}, t, A, (mk("abs", {}, t.fun, A),)),
+     "dB cannot fire on an untyped abstraction body"),
+    ("reduce", CBV, rf"(({ID})[z\w]) y", _spine_demand_changed,
+     "substitution spine demand changed"),
+    ("expand", CBV, rf"({ID}) y", lambda t: mk("app", {}, t, A),
+     "contractum is not a substitution node"),
+    ("expand", CBV, rf"(({ID})[z\w]) y", lambda t: mk("app", {}, t, A),
+     "derivation has a shorter substitution spine than the term"),
+    ("reduce", CBV, r"x[x\y]", lambda t: mk("app", {}, t, A),
+     "sv expects a substitution node"),
+    ("reduce", CBV, r"x[x\y]",
+     lambda t: mk("es", {}, t, A, (mk("var", {}, t.body, A), mk("app", {}, t.arg, EMPTY))),
+     "sv expects a value under the spine"),
+    ("reduce", CBV, r"x[x\y]",
+     lambda t: mk("es", {"y": m(B)}, t, m(A),
+                  (var("x", m(A), SYS_V), mk("var", {"y": m(B)}, t.arg, m(B)))),
+     "binder demand does not match the value's multiset"),
+    ("reduce", CBV, r"x[x\y]",
+     lambda t: mk("es", {"y": m(A, A)}, t, m(A),
+                  (mk("var", {"x": m(A, A)}, t.body, m(A)),
+                   mk("var", {"y": m(A, A)}, t.arg, m(A, A)))),
+     "value derivation not exhausted: [a] left"),
+    ("reduce", CBV, r"x[x\y]",
+     lambda t: mk("es", {"y": m(A)}, t, m(B),
+                  (mk("var", {"x": m(A)}, t.body, m(B)), mk("var", {"y": m(A)}, t.arg, m(A)))),
+     "value derivation cannot supply [b]"),
+    ("reduce", CBV, r"x[x\\z.z]",
+     lambda t: mk("es", {}, t, m(ARROW),
+                  (mk("var", {"x": m(ARROW)}, t.body, m(ARROW)),
+                   mk("abs", {}, t.arg, m(ARROW), (mk("var", {"z": m(B)}, t.arg.body, m(B)),)))),
+     "value derivation cannot supply [] -> a"),
+    ("expand", CBV, r"x[x\y]", lambda t: mk("var", {"y": m(A)}, t, A),
+     "a value occurrence must type with a multiset"),
+    ("expand", CBV, r"(x x)[x\\z.z]",
+     lambda t: mk("app", {}, t, A, (mk("abs", {}, t.fun, EMPTY), mk("app", {}, t.arg, EMPTY))),
+     "the copies of a value do not type it as one value"),
+    ("expand", CBV, r"x[x\\z.z]",
+     lambda t: mk("abs", {}, t, EMPTY, (mk("var", {"z": m(A)}, t.body, m(A)),)),
+     "collected value demand is inconsistent"),
+    ("reduce", CBN, r"x[x\y]", lambda t: mk("app", {}, t, A),
+     "sN expects a substitution node"),
+    ("reduce", CBN, r"x[x\y]", lambda t: mk("es", {}, t, A, (var("x", A, SYS_N),)),
+     "no argument derivation of a"),
+    ("reduce", CBN, r"z[x\y]",
+     lambda t: mk("es", {}, t, A, (var("z", A, SYS_N), var("y", B, SYS_N))),
+     "argument derivations left over"),
+    ("expand", CBN, r"(x x)[x\y]", lambda t: mk("abs", {}, t, A),
+     "derivation out of step with the term"),
+]
+
+
+@pytest.mark.parametrize("direction,calculus,text,corrupt,message", REFUSALS)
+def test_a_derivation_corrupted_at_the_redex_is_refused(direction, calculus, text, corrupt,
+                                                        message):
+    step = normalize(parse(text), calculus, 0.0).steps[0]
+    assert step.position == ()
+    system = SYSTEM_OF[calculus]
+    if direction == "reduce":
+        replay, start = reduce_derivation, step.before
+    else:
+        replay, start = expand_derivation, step.after
+    with pytest.raises(TransformError) as exc:
+        replay(corrupt(start), step, system)
+    assert type(exc.value) is TransformError and str(exc.value) == message
+
+
+def test_a_step_the_derivation_cannot_reach_is_refused():
+    # by name the argument of an application is out of the derivation's
+    # reach: the walker does not descend into it
+    step = normalize(parse(rf"y (({ID}) z)"), CBN, OMEGA).steps[0]
+    assert step.position == ("r",)
+    with pytest.raises(TransformError) as exc:
+        reduce_derivation(typable(step.before, CBN)[1], step, SYS_N)
+    assert str(exc.value) == "cannot navigate edge 'r' through a app node in system N"
+
+
+@pytest.mark.parametrize("calculus,system", [(CBV, SYS_V), (CBN, SYS_N)])
+def test_a_derivation_of_another_term_is_refused(calculus, system):
+    step = normalize(parse(rf"({ID}) y"), calculus, 0.0).steps[0]
+    other = typable(parse("z"), calculus)[1]
+    for replay, end in ((reduce_derivation, "source"), (expand_derivation, "target")):
+        with pytest.raises(TransformError) as exc:
+            replay(other, step, system)
+        assert str(exc.value) == f"derivation does not type the step's {end}"
 
 
 class TestExhaustiveReplay:
