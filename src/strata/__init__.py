@@ -29,8 +29,6 @@ from .terms import (
 from .reduce import Step, Trace, apply_step, find_redexes, normalize, reduce_once
 from .nf import classify_nf, is_bno, is_normal, strat_eq
 from .approx import (
-    Collapsed,
-    Mapped,
     Oracle,
     Undetermined,
     approximate_step,

@@ -209,32 +209,14 @@ class _Undecided(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Collapsed:
-    """The step happened inside a meaningless region: the approximant
-    does not move."""
-
-    approximant: Term
-
-
-@dataclass(frozen=True)
-class Mapped:
-    """The step survives in the approximant as the same rule at the
-    same position; step is the contraction of the surviving redex,
-    whose target refines the approximant of the original step's."""
-
-    step: Step
-
-
-def approximate_step(
-    step: Step, oracle: Oracle
-) -> Union[Collapsed, Mapped, Undetermined]:
+def approximate_step(step: Step, oracle: Oracle) -> Union[Step, None, Undetermined]:
     """Push one reduction step through the approximant map.
 
     When the step happens inside a region that A(before) pruned away,
-    the approximant does not move (Collapsed).  Otherwise the redex
-    pattern survives at the same position of A(before), the same rule
-    applies there, and the contraction refines A(after) (Mapped).
+    the approximant does not move, and there is no step (None).
+    Otherwise the redex pattern survives at the same position of
+    A(before), the same rule applies there, and that step is returned:
+    its contraction refines A(after).
     """
     before_hat = meaningful_approximant(step.before, oracle)
     if isinstance(before_hat, Undetermined):
@@ -244,7 +226,7 @@ def approximate_step(
         return after_hat
 
     if alpha_eq(before_hat, after_hat):
-        return Collapsed(before_hat)
+        return None
 
     redex = Redex(step.position, step.rule, step.level)
     try:
@@ -257,7 +239,7 @@ def approximate_step(
         raise AssertionError(
             "approximant of the target does not refine into the mapped step"
         )
-    return Mapped(mapped)
+    return mapped
 
 
 def lift_step(step: Step, refined: Term, calculus: str) -> Step:

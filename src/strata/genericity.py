@@ -28,7 +28,6 @@ from .nf import NOT_NF, classify_nf, has_bot_within, is_bno, is_normal, strat_eq
 from .approx import (
     MEANINGLESS,
     UNKNOWN,
-    Mapped,
     Oracle,
     Undetermined,
     approximate_step,
@@ -89,16 +88,19 @@ def stratified_genericity_check(
     trace = normalize(ct, calculus, level, fuel)
     if trace.outcome == "fuel":
         return GenericityReport(UNKNOWN, level, "normalization of C<t> ran out of fuel")
-    if trace.outcome == "cycle" or has_bot_within(trace.final, calculus, level):
+    if trace.outcome == "cycle":
         return GenericityReport(VACUOUS, level, "C<t> has no normal form at this level")
+    if has_bot_within(trace.final, calculus, level):
+        return GenericityReport(
+            VACUOUS, level, "the normal form of C<t> has a bot at this level or above")
 
     partial_steps: list[Step] = []
     for step in trace.steps:
         mapped = approximate_step(step, oracle)
         if isinstance(mapped, Undetermined):
             return GenericityReport(UNKNOWN, level, "a step could not be approximated")
-        if isinstance(mapped, Mapped):
-            partial_steps.append(mapped.step)
+        if mapped is not None:
+            partial_steps.append(mapped)
 
     s_hat = partial_steps[-1].after if partial_steps else a_hat
     report = GenericityReport(OK, level, approximant=a_hat,
@@ -199,16 +201,16 @@ def axiom_suite(calculus: str, n: int = 5000, seed: int = 0) -> AxiomReport:
             if isinstance(mapped, Undetermined):
                 continue
             checked["steps"] += 1
-            if isinstance(mapped, Mapped):
+            if mapped is not None:
                 # assumption 2: lift the surviving partial step onto a
                 # random refinement of its source
-                refined = refine(mapped.step.before)
+                refined = refine(mapped.before)
                 try:
-                    lift_step(mapped.step, refined, calculus)
+                    lift_step(mapped, refined, calculus)
                     checked["lifts"] += 1
                 except (AssertionError, ValueError) as exc:
                     violations.append({"kind": "lift", "calculus": calculus,
-                                       "step": step_to_dict(mapped.step),
+                                       "step": step_to_dict(mapped),
                                        "refined": show(refined), "detail": str(exc)})
         else:
             # t is a level-k normal form: assumption 3

@@ -15,7 +15,7 @@ never reach.
 
 from __future__ import annotations
 
-from .terms import CBN, CBV, Abs, App, Bot, Es, Level, Term, Var, agree
+from .terms import CBV, Abs, App, Bot, Es, Level, Term, Var, agree, deep_edges
 from .reduce import min_redex_level
 
 VR = "vr"
@@ -25,36 +25,39 @@ NOT_NF = "not-nf"
 
 
 def _cbv_sort(t: Term, k: Level) -> str:
-    match t:
-        case Var(_):
-            return VR
-        case Abs(_, b):
-            if k == 0 or _cbv_sort(b, k - 1) != NOT_NF:
-                return NO
-        case App(f, a):
-            if _cbv_sort(f, k) in (VR, NE) and _cbv_sort(a, k) != NOT_NF:
-                return NE
-        case Es(b, _, a):
+    # the head path (function sides and closure bodies) and a binder
+    # chain are read in loops: only arguments and chain bodies recurse
+    path, depth = [], k
+    while type(t) is App or type(t) is Es:
+        path.append(t)
+        t = t.fun if type(t) is App else t.body
+    sort = VR if type(t) is Var else NOT_NF
+    if type(t) is Abs:
+        while type(t) is Abs and depth > 0:
+            t, depth = t.body, depth - 1
+        sort = NO if type(t) is Abs or _cbv_sort(t, depth) != NOT_NF else NOT_NF
+    for node in reversed(path):
+        if type(node) is App:  # a neutral spine takes normal arguments
+            sort = NE if sort in (VR, NE) and _cbv_sort(node.arg, k) != NOT_NF else NOT_NF
+        elif _cbv_sort(node.arg, k) != NE:
             # a closure keeps its body's sort while its argument is neutral
-            if _cbv_sort(a, k) == NE:
-                return _cbv_sort(b, k)
-    return NOT_NF
+            sort = NOT_NF
+    return sort
 
 
 def _cbn_sort(t: Term, k: Level) -> str:
-    match t:
-        case Var(_):
-            return NE
-        case App(f, a):
-            if _cbn_sort(f, k) == NE and (k == 0 or _cbn_sort(a, k - 1) != NOT_NF):
-                return NE
-        case Abs(_, b):
-            if _cbn_sort(b, k) != NOT_NF:
-                return NO
-    return NOT_NF
-
-
-_SORT = {CBV: _cbv_sort, CBN: _cbn_sort}
+    # a binder chain over a neutral spine, both read in loops: only
+    # arguments recurse, one level down
+    under_binder = type(t) is Abs
+    while type(t) is Abs:
+        t = t.body
+    args = []
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fun
+    if type(t) is not Var or k != 0 and any(_cbn_sort(a, k - 1) == NOT_NF for a in args):
+        return NOT_NF
+    return NO if under_binder else NE
 
 
 def classify_nf(t: Term, calculus: str, k: Level) -> str:
@@ -65,10 +68,8 @@ def classify_nf(t: Term, calculus: str, k: Level) -> str:
     ne (neutral) and no (any normal form); call-by-name has ne and no.
     Every vr and every ne is also a no.
     """
-    sort = _SORT.get(calculus)
-    if sort is None:
-        raise ValueError(f"unknown calculus {calculus!r}")
-    return sort(t, k)
+    deep_edges(calculus)
+    return (_cbv_sort if calculus == CBV else _cbn_sort)(t, k)
 
 
 def is_normal(t: Term, calculus: str, k: Level) -> bool:
@@ -91,8 +92,7 @@ def has_bot_within(t: Term, calculus: str, k: Level) -> bool:
     and the body of a binder one level down; by name function sides,
     bodies and substitution bodies, and arguments one level down.
     """
-    if calculus not in _SORT:
-        raise ValueError(f"unknown calculus {calculus!r}")
+    deep_edges(calculus)
     by_value, layer, level = calculus == CBV, [t], 0
     while layer:
         deeper: list[Term] = []

@@ -41,6 +41,7 @@ from .terms import (
     Term,
     Var,
     alpha_eq,
+    deep_edges,
     fresh_name,
     free_vars,
     level_of,
@@ -114,9 +115,8 @@ def find_redexes(t: Term, calculus: str, level: Level) -> list[Redex]:
 def min_level_reader(calculus: str) -> attrgetter:
     """The reader of the node slot that holds the shallowest redex level
     of a calculus, which is named after it."""
-    if calculus in (CBV, CBN):
-        return attrgetter(calculus)
-    raise ValueError(f"unknown calculus {calculus!r}")
+    deep_edges(calculus)
+    return attrgetter(calculus)
 
 
 def min_redex_level(t: Term, calculus: str) -> Level | None:

@@ -270,7 +270,7 @@ def level_of(pos: Position, calculus: str) -> Level:
     counts argument edges (of applications and substitutions) crossed.
     Only the edges are read: the position is not looked up in a term.
     """
-    deep = _deep_edges(calculus)
+    deep = deep_edges(calculus)
     return float(sum(1 for e in pos if e in deep))
 
 
@@ -280,7 +280,9 @@ def level_of(pos: Position, calculus: str) -> Level:
 _DEEP_EDGES = {CBV: ("b",), CBN: ("r", "e")}
 
 
-def _deep_edges(calculus: str) -> tuple[str, ...]:
+def deep_edges(calculus: str) -> tuple[str, ...]:
+    """The edges that lead one level deeper in the calculus.  This is
+    the one place that refuses a calculus other than CBV and CBN."""
     deep = _DEEP_EDGES.get(calculus)
     if deep is None:
         raise ValueError(f"unknown calculus {calculus!r}")
@@ -424,7 +426,7 @@ def agree(t: Term, u: Term, calculus: str = CBV, k: Level = OMEGA,
     node that both terms share is not walked when every binder above it
     has the same name on both sides, as it then means the same on both.
     """
-    deep = _deep_edges(calculus)
+    deep = deep_edges(calculus)
     # left and right give the depth of the innermost binder of each name
     # in scope on each side.  The loop walks one child of each node and
     # leaves the other, with its budget and scopes, on a stack: a spine

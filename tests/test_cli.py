@@ -118,6 +118,16 @@ class TestDeepInput:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(answer)
 
+    @pytest.mark.parametrize("calculus", ["cbv", "cbn"])
+    @pytest.mark.parametrize("text,sort", [(LONG_SPINE, "ne"), (NESTED_BINDERS, "no")],
+                             ids=["spine", "chain"])
+    def test_nf_check_reads_spines_and_chains_in_loops(self, text, sort, calculus):
+        # in a new process at the default recursion limit; at level
+        # omega the whole chain of binders is read by value too
+        done = strata_process("nf-check", text, "--calculus", calculus, "--level", "omega")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{sort}\n"
+
 
 class TestFreshProcess:
     """A new process has made no fresh names yet: answers must not

@@ -29,6 +29,7 @@ from strata.terms import bot_positions, hole_positions, replace_at, subterms
 from conftest import ID, OMEGA_LOOP, p
 
 PROBES = ["x", ID, r"\w.w w", "y z"]
+BOT_WITHIN = "the normal form of C<t> has a bot at this level or above"
 
 
 class TestPipeline:
@@ -49,6 +50,18 @@ class TestPipeline:
                 cbn_oracle)
             assert r.status == "ok", r.detail
 
+    @pytest.mark.parametrize("ctx_text, fuel, detail", [
+        (r"(\y.\i.i) (\z.@) ((\x.x x x) (\x.x x x))", 40,
+         "approximant of C<t> undetermined"),
+        (r"(\y.\i.i) (\z.@)", 1, "normalization of C<t> ran out of fuel"),
+        # the target of a step has an undetermined approximant
+        (r"(\y.(\a.\v.a a a) (\x.x x x)) (\z.@)", 40, "a step could not be approximated"),
+    ])
+    def test_each_undecided_part_is_unknown(self, ctx_text, fuel, detail):
+        r = stratified_genericity_check(p(OMEGA_LOOP), parse_context(ctx_text), p("y"),
+                                        CBV, 0.0, Oracle(CBV, 40), fuel)
+        assert (r.status, r.detail) == ("unknown", detail)
+
     def test_unguarded_by_value_context_is_vacuous(self, cbv_oracle):
         # by value the diverging argument must be evaluated, so the
         # plugged term has no normal form and the claim holds vacuously
@@ -57,21 +70,24 @@ class TestPipeline:
             cbv_oracle)
         assert r.status == "vacuous"
 
-    @pytest.mark.parametrize("filler, ctx_text, level, calculus, status", [
-        (OMEGA_LOOP, r"(\z.bot) @", 0.0, CBN, "vacuous"),
-        ("bot", "@", 0.0, CBV, "vacuous"),
-        ("x bot", r"\z.@", 1.0, CBV, "vacuous"),
-        (r"\z.bot", "@", 0.0, CBN, "vacuous"),
-        (OMEGA_LOOP, r"bot (\z.@)", 0.0, CBV, "vacuous"),
-        ("x bot", r"\z.@", 0.0, CBV, "ok"),
+    @pytest.mark.parametrize("filler, ctx_text, level, calculus, status, detail", [
+        (OMEGA_LOOP, r"(\z.bot) @", 0.0, CBN, "vacuous", BOT_WITHIN),
+        ("bot", "@", 0.0, CBV, "vacuous", BOT_WITHIN),
+        ("x bot", r"\z.@", 1.0, CBV, "vacuous", BOT_WITHIN),
+        (r"\z.bot", "@", 0.0, CBN, "vacuous", BOT_WITHIN),
+        (OMEGA_LOOP, r"bot (\z.@)", 0.0, CBV, "vacuous", BOT_WITHIN),
+        (OMEGA_LOOP, rf"(\y.{ID}) @", 0.0, CBV, "vacuous",
+         "C<t> has no normal form at this level"),
+        ("x bot", r"\z.@", 0.0, CBV, "ok", ""),
     ])
     def test_a_normal_form_with_a_bot_within_the_level_is_vacuous(
-            self, filler, ctx_text, level, calculus, status):
+            self, filler, ctx_text, level, calculus, status, detail):
         # a level-k normal form of the partial calculus has no bot at
-        # level k or above: one that does is not the theorem's hypothesis
+        # level k or above: one that does is not the theorem's hypothesis,
+        # and neither is a cycle, each with its own detail
         r = stratified_genericity_check(p(filler), parse_context(ctx_text), p("y"),
                                         calculus, level, Oracle(calculus, 200))
-        assert r.status == status, r.detail
+        assert (r.status, r.detail) == (status, detail)
 
     @pytest.mark.parametrize("name, wrong, detail", [
         ("is_bno", lambda *a: False,

@@ -223,6 +223,12 @@ class TestSerialization:
         tr = normalize(parse(rf"({ID}) ({ID})"), CBV, 0.0)
         d = trace_to_dict(tr)
         assert d["outcome"] == "normal" and len(d["steps"]) == 2
+        assert "cycle_start" not in d
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_trace_dict_records_where_a_cycle_starts(self, calculus):
+        d = trace_to_dict(normalize(parse(OMEGA_LOOP), calculus, 0.0))
+        assert (d["outcome"], d["cycle_start"], len(d["steps"])) == ("cycle", 0, 2)
 
 
 def test_apply_step_revalidates():

@@ -94,6 +94,9 @@ class TestParsePrint:
     def test_abstraction_extends_right(self):
         assert parse(r"\x.x y") == Abs("x", App(Var("x"), Var("y")))
 
+    def test_abstraction_as_the_last_argument(self):
+        assert parse(r"f \x.x") == App(Var("f"), Abs("x", Var("x")))
+
     def test_closure_binds_tighter_than_application(self):
         t = parse(r"x[x\y] z")
         assert isinstance(t, App) and isinstance(t.fun, Es)
@@ -424,6 +427,15 @@ class TestContexts:
         c = parse_context(r"(\y.\i.i) (\z.@)")
         assert is_context(c)
         assert hole_positions(c) == [("r", "b")]
+
+    @pytest.mark.parametrize("text,found", [("x", 0), ("@ @", 2)])
+    def test_a_context_needs_exactly_one_hole(self, text, found):
+        with pytest.raises(ValueError) as exc:
+            parse_context(text)
+        assert str(exc.value) == "a context must contain exactly one hole '@'"
+        with pytest.raises(ValueError) as exc:
+            plug(parse(text, allow_hole=True), Var("y"))
+        assert str(exc.value) == f"context must have exactly one hole, found {found}"
 
     def test_parse_rejects_hole_in_plain_term(self):
         with pytest.raises(ParseError):

@@ -39,8 +39,8 @@ from strata.deriv_transform import (
     expand_derivation,
     reduce_derivation,
 )
-from strata.reduce import Step
-from strata.typecheck import SYS_N, SYS_V, SYSTEM_OF
+from strata.reduce import DB, Step
+from strata.typecheck import SYS_N, SYS_V, SYSTEM_OF, NotTypable
 from strata.types_core import (
     EMPTY,
     Arrow,
@@ -148,6 +148,12 @@ class TestChecker:
     def test_accepts_synthesized_by_name(self, text):
         d = synth_nf_derivation(parse(text), CBN)
         assert check_derivation(d, SYS_N) == []
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_synthesis_refuses_what_is_not_a_normal_form(self, calculus):
+        with pytest.raises(NotTypable) as exc:
+            synth_nf_derivation(parse(r"(\x.x) y"), calculus)
+        assert str(exc.value) == r"(\x0.x0) y is not a level-0 normal form"
 
 
 # Hand-corrupted derivations, one per rejection of check_derivation, each
@@ -290,6 +296,15 @@ class TestTypability:
         for calculus in (CBV, CBN):
             status, d = typable(t, calculus)
             assert status == "typable" and d.term == t
+
+    def test_a_redex_under_two_substitutions(self):
+        # the dB step finds its abstraction under a spine of two
+        # substitutions, which the expansion carries back onto t
+        t = parse(r"((\x.x)[a\y y][b\z z]) w")
+        for calculus in (CBV, CBN):
+            status, d = typable(t, calculus)
+            assert status == "typable" and d.term is t
+            assert check_derivation(d, SYSTEM_OF[calculus]) == []
 
     def test_type_variables_are_numbered_per_derivation(self):
         t = parse(r"\x.x y")
@@ -586,6 +601,35 @@ class TestExhaustiveReplay:
 
 
 DERIVATIONS_PIN = "cb414691c62892681817922f0f3906dc7f147cdc504e9de40d8e5695c7fc9092"
+
+
+def nodes(d: Derivation, rule: str | None = None) -> int:
+    """The nodes of d, or those of one rule."""
+    n, todo = 0, [d]
+    while todo:
+        d = todo.pop()
+        n += rule is None or d.rule == rule
+        todo.extend(d.premises)
+    return n
+
+
+@pytest.mark.parametrize("calculus,steps", [(CBV, 8477), (CBN, 12222)])
+def test_a_derivation_bounds_its_surface_trace(calculus, steps):
+    """Every term up to size 7 (Accattoli, Graham-Lengrand & Kesner,
+    ICFP 2018): each surface step strictly shrinks typable's derivation
+    carried along the trace, and the dB steps are as many as the app
+    nodes it loses on the way to the normal form."""
+    system, total = SYSTEM_OF[calculus], 0
+    for t in enumerate_terms(7):
+        status, d = typable(t, calculus)
+        assert status == "typable"
+        apps, db = nodes(d, "app"), 0
+        for step in normalize(t, calculus, 0.0).steps:
+            smaller = reduce_derivation(d, step, system)
+            assert nodes(smaller) < nodes(d), (show(t), step.rule)
+            d, db, total = smaller, db + (step.rule == DB), total + 1
+        assert db == apps - nodes(d, "app"), show(t)
+    assert total == steps
 
 
 class TestSerialization:
