@@ -158,8 +158,6 @@ def separating_context(t: Term, u: Term, oracle: Oracle) -> Term | None:
             pad()
             continue
         (hs, xs), (hr, xr) = _spine(s), _spine(r)
-        if type(hs) is not Var or type(hr) is not Var:
-            return None
         if hs.name != hr.name:
             if not (xs and xr):  # a diverger takes at least one argument
                 pad()

@@ -30,7 +30,7 @@ from .types_core import (
     SYS_V,
     demand,
     derive,
-    env_eq,
+    env_get,
     mult_minus,
     mult_sum,
     show_ty,
@@ -80,7 +80,7 @@ def _carry(d: Derivation, t: Term, x: str | None = None, hook=None) -> Derivatio
 
 def _arrows(premises, binder: str) -> Mult:
     """The multiset [M_i -> s_i] that an abstraction's premises realize."""
-    return Mult(tuple(Arrow(p.env_dict.get(binder, EMPTY), p.ty) for p in premises))
+    return Mult(tuple(Arrow(env_get(p.env, binder), p.ty) for p in premises))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def _split_value(dv: Derivation, need: Mult) -> tuple[Derivation, Derivation]:
     taken: list[Derivation] = []
     for want in need.items:
         for i, p in enumerate(avail):
-            if Arrow(p.env_dict.get(binder, EMPTY), p.ty) == want:
+            if Arrow(env_get(p.env, binder), p.ty) == want:
                 taken.append(avail.pop(i))
                 break
         else:
@@ -166,7 +166,7 @@ def _wrap_chain(chain: list[Derivation], core: Derivation, t: Term) -> Derivatio
         spine.append(spine[-1].body)
     for node, s in zip(reversed(chain), reversed(spine)):
         args = tuple(_carry(p, s.arg) for p in node.premises[1:])
-        if core.env_dict.get(s.binder, EMPTY) != mult_sum(*(demand(p.ty) for p in args)):
+        if env_get(core.env, s.binder) != mult_sum(*(demand(p.ty) for p in args)):
             raise TransformError("substitution spine demand changed")
         core = derive("es", s, core.ty, (core,) + args)
     return core
@@ -194,7 +194,7 @@ def _expand_db(d: Derivation, t: Term, system: str) -> Derivation:
     if des.rule != "es":
         raise TransformError("contractum is not a substitution node")
     ds = _carry(des.premises[0], lam.body)
-    arrow = Arrow(ds.env_dict.get(lam.binder, EMPTY), ds.ty)
+    arrow = Arrow(env_get(ds.env, lam.binder), ds.ty)
     d_abs = derive("abs", lam, Mult((arrow,)) if system == SYS_V else arrow, (ds,))
     d_fun = _wrap_chain(chain, d_abs, t.fun)
     return derive("app", t, ds.ty, (d_fun,) + des.premises[1:])
@@ -208,7 +208,7 @@ def _reduce_sv(d: Derivation, t: Term, system: str) -> Derivation:
     chain, dv = _peel_chain(darg)
     if dv.rule not in ("var", "abs"):
         raise TransformError("sv expects a value under the spine")
-    if db.env_dict.get(x, EMPTY) != dv.ty:
+    if env_get(db.env, x) != dv.ty:
         raise TransformError("binder demand does not match the value's multiset")
     pool = [dv]
 
@@ -227,7 +227,7 @@ def _expand_sv(d: Derivation, t: Term, system: str) -> Derivation:
     chain, nd = _peel_chain(d, len(spine))
     db, copies = _uncopy(nd, t.body, t.binder, SYS_V)
     dv = _merge_value(copies, v)
-    if db.env_dict.get(t.binder, EMPTY) != dv.ty:
+    if env_get(db.env, t.binder) != dv.ty:
         raise TransformError("collected value demand is inconsistent")
     return derive("es", t, nd.ty, (db, _wrap_chain(chain, dv, t.arg)))
 
@@ -289,7 +289,7 @@ def _walk(d: Derivation, src: Term, dst: Term, pos: Position, system: str,
     if local is None:
         raise TransformError(f"unknown rule {rule}")
     out = local(d, path[-1], system)
-    if out.ty != d.ty or not env_eq(out.env_dict, d.env_dict):
+    if out.ty != d.ty or out.env != d.env:
         raise TransformError("transformation changed the final judgment")
     for (node, idx), t in zip(reversed(above), reversed(path[:-1])):
         out = derive(node.rule, t, node.ty,

@@ -322,9 +322,16 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
             return t if hit is None else hit[0]
         if t.free.isdisjoint(env):  # no substituted name is free in t
             return t
-        if kind is App:
-            f, a = go(t.fun, env), go(t.arg, env)
-            return t if f is t.fun and a is t.arg else App(f, a)
+        if kind is App:  # down the function side in a loop: spines outgrow the stack
+            spine, f = [t], t.fun
+            while type(f) is App and not f.free.isdisjoint(env):
+                spine.append(f)
+                f = f.fun
+            f = go(f, env)
+            for t in reversed(spine):
+                a = go(t.arg, env)
+                f = t if f is t.fun and a is t.arg else App(f, a)
+            return f
         if kind is Abs:
             y, b = under(t.binder, t.body, env)
             return t if b is t.body else Abs(y, b)

@@ -34,7 +34,7 @@ from .types_core import (
     Ty,
     TyVar,
     derive,
-    env_eq,
+    env_get,
     env_minus,
     env_sum,
     show_ty,
@@ -55,12 +55,7 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
     def fail(path: str, msg: str):
         errors.append(f"{path or 'root'}: {msg}")
 
-    def multiset_matches(family: tuple[Derivation, ...], binder: str, want: Mult) -> bool:
-        got = Mult(tuple(Arrow(p.env_dict.get(binder, EMPTY), p.ty) for p in family))
-        return got == want
-
     def go(d: Derivation, path: str):
-        env = d.env_dict
         if not valid_ty(d.ty, system):
             fail(path, f"type {show_ty(d.ty)} is not a {system} judgment type")
         match d.rule, d.term:
@@ -70,10 +65,10 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
                 if system == SYS_V:
                     if not isinstance(d.ty, Mult):
                         fail(path, "a variable types with a multiset")
-                    want = {x: d.ty} if isinstance(d.ty, Mult) else {}
+                    want = ((x, d.ty),) if isinstance(d.ty, Mult) and d.ty.items else ()
                 else:
-                    want = {x: Mult((d.ty,))}
-                if not env_eq(env, want):
+                    want = ((x, Mult((d.ty,))),)
+                if d.env != want:
                     fail(path, "var environment must carry exactly its own demand")
             case "abs", Abs(x, b):
                 for i, p in enumerate(d.premises):
@@ -84,19 +79,19 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
                         isinstance(i, Arrow) for i in d.ty.items
                     ):
                         fail(path, "an abstraction types with a multiset of arrows")
-                    elif not multiset_matches(d.premises, x, d.ty):
+                    elif Mult(tuple(Arrow(env_get(p.env, x), p.ty) for p in d.premises)) != d.ty:
                         fail(path, "premise family does not realize the multiset")
-                    if not env_eq(env, env_sum(*(env_minus(p.env_dict, x)[1] for p in d.premises))):
+                    if d.env != env_sum(*(env_minus(p.env, x)[1] for p in d.premises)):
                         fail(path, "environment is not the sum of the premises")
                 else:
                     if len(d.premises) != 1:
                         fail(path, "abs takes exactly one premise")
                     else:
                         p = d.premises[0]
-                        m, rest = env_minus(p.env_dict, x)
+                        m, rest = env_minus(p.env, x)
                         if d.ty != Arrow(m, p.ty):
                             fail(path, "conclusion type must be M -> s from the premise")
-                        if not env_eq(env, rest):
+                        if d.env != rest:
                             fail(path, "environment must be the premise's minus the binder")
             case "app", App(f, a):
                 go_app_like(d, path, f, a, binder=None)
@@ -109,20 +104,20 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
             go(p, f"{path}.{i}" if path else str(i))
 
     def go_app_like(d: Derivation, path: str, left: Term, right: Term, binder: str | None):
-        env = d.env_dict
         if not d.premises:
             fail(path, "missing premises")
             return
-        head = d.premises[0]
+        head, args = d.premises[0], d.premises[1:]
         if head.term != left:
             fail(path, "first premise types the wrong term")
         if binder is not None and head.ty != d.ty:
             fail(path, "substitution preserves the type of its body")
+        m, rest = (EMPTY, head.env) if binder is None else env_minus(head.env, binder)
         if system == SYS_V:
-            if len(d.premises) != 2:
+            if len(args) != 1:
                 fail(path, "takes exactly two premises")
                 return
-            arg = d.premises[1]
+            arg = args[0]
             if arg.term != right:
                 fail(path, "second premise types the wrong term")
             if not isinstance(arg.ty, Mult):
@@ -131,16 +126,9 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
             if binder is None:
                 if head.ty != Mult((Arrow(arg.ty, d.ty),)):
                     fail(path, "head must type with the singleton [M -> s]")
-                if not env_eq(env, env_sum(head.env_dict, arg.env_dict)):
-                    fail(path, "environment is not the sum of the premises")
-            else:
-                m, rest = env_minus(head.env_dict, binder)
-                if arg.ty != m:
-                    fail(path, "argument multiset must match the binder's demand")
-                if not env_eq(env, env_sum(rest, arg.env_dict)):
-                    fail(path, "environment is not the sum of the premises")
+            elif arg.ty != m:
+                fail(path, "argument multiset must match the binder's demand")
         else:
-            args = d.premises[1:]
             for i, p in enumerate(args):
                 if p.term != right:
                     fail(path, f"argument premise {i} types the wrong term")
@@ -151,13 +139,10 @@ def check_derivation(d: Derivation, system: str) -> list[str]:
                     return
                 if head.ty.src != got or head.ty.tgt != d.ty:
                     fail(path, "argument family does not realize the arrow source")
-                rest = head.env_dict
-            else:
-                m, rest = env_minus(head.env_dict, binder)
-                if m != got:
-                    fail(path, "argument family does not realize the binder's demand")
-            if not env_eq(env, env_sum(rest, *(p.env_dict for p in args))):
-                fail(path, "environment is not the sum of the premises")
+            elif m != got:
+                fail(path, "argument family does not realize the binder's demand")
+        if d.env != env_sum(rest, *(p.env for p in args)):
+            fail(path, "environment is not the sum of the premises")
 
     go(d, "")
     return errors
@@ -188,7 +173,7 @@ def _synth_v(t: Term, demand: Ty) -> Derivation:
             return derive("app", t, demand, (df, _synth_v(a, EMPTY)))
         case Es(b, x, a):
             db = _synth_v(b, demand)
-            return derive("es", t, demand, (db, _synth_v(a, db.env_dict.get(x, EMPTY))))
+            return derive("es", t, demand, (db, _synth_v(a, env_get(db.env, x))))
 
 
 def _synth_n(t: Term) -> Derivation:
@@ -209,7 +194,7 @@ def _synth_n(t: Term) -> Derivation:
     match t:
         case Abs(x, b):
             db = _synth_n(b)
-            return derive("abs", t, Arrow(db.env_dict.get(x, EMPTY), db.ty), (db,))
+            return derive("abs", t, Arrow(env_get(db.env, x), db.ty), (db,))
         case _:
             return neutral(t, TyVar("a0"))
 

@@ -83,31 +83,38 @@ def valid_ty(t: Ty, system: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Environments: dict[str, Mult], empty entries dropped
+# Environments: (variable, multiset) pairs sorted by variable, none empty
 
 
-Env = dict[str, Mult]
+Env = tuple[tuple[str, Mult], ...]
 
 
-def env_norm(env: Env) -> Env:
-    return {k: v for k, v in sorted(env.items()) if v.items}
+def env_get(env: Env, x: str) -> Mult:
+    """The multiset that env assigns to x."""
+    for k, m in env:
+        if k == x:
+            return m
+    return EMPTY
 
 
 def env_sum(*envs: Env) -> Env:
-    out: dict[str, Mult] = {}
-    for env in envs:
-        for k, v in env.items():
-            out[k] = mult_sum(out[k], v) if k in out else v
-    return env_norm(out)
-
-
-def env_eq(a: Env, b: Env) -> bool:
-    return env_norm(a) == env_norm(b)
+    """The sum of the environments: each variable's multisets added up."""
+    parts = [env for env in envs if env]
+    if len(parts) < 2:
+        return parts[0] if parts else ()
+    total: dict[str, Mult] = {}
+    for env in parts:
+        for k, m in env:
+            total[k] = mult_sum(total[k], m) if k in total else m
+    return tuple(sorted(total.items()))
 
 
 def env_minus(env: Env, x: str) -> tuple[Mult, Env]:
     """The multiset assigned to x, and the environment without x."""
-    return env.get(x, EMPTY), {k: v for k, v in env.items() if k != x}
+    for i, (k, m) in enumerate(env):
+        if k == x:
+            return m, env[:i] + env[i + 1:]
+    return EMPTY, env
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +124,17 @@ def env_minus(env: Env, x: str) -> tuple[Mult, Env]:
 @dataclass(frozen=True)
 class Derivation:
     rule: str  # var | abs | app | es
-    env: tuple[tuple[str, Mult], ...]
+    env: Env
     term: Term
     ty: Ty
     premises: tuple["Derivation", ...] = ()
 
-    @property
-    def env_dict(self) -> Env:
-        return dict(self.env)
 
-
-def mk(rule: str, env: Env, term: Term, ty: Ty,
+def mk(rule: str, env: dict[str, Mult], term: Term, ty: Ty,
        premises: tuple[Derivation, ...] = ()) -> Derivation:
     """A node with the given environment, for derivations read from outside."""
-    return Derivation(rule, tuple(sorted(env_norm(env).items())), term, ty, premises)
+    return Derivation(rule, tuple(sorted((k, m) for k, m in env.items() if m.items)),
+                      term, ty, premises)
 
 
 def demand(ty: Ty) -> Mult:
@@ -146,32 +150,20 @@ def derive(rule: str, term: Term, ty: Ty,
     var carries its own demand, abs sums its premises without the
     binder, app sums its premises, and es sums its head without the
     binder and its arguments."""
-
-    def without(env: tuple, x: str) -> tuple:
-        return tuple(entry for entry in env if entry[0] != x)
-
     match rule:
         case "var":
             own = demand(ty)
             env = ((term.name, own),) if own.items else ()
             return Derivation(rule, env, term, ty, premises)
         case "abs":
-            parts = [without(p.env, term.binder) for p in premises]
+            parts = [env_minus(p.env, term.binder)[1] for p in premises]
         case "app":
             parts = [p.env for p in premises]
         case "es":
-            parts = [without(premises[0].env, term.binder)] + [p.env for p in premises[1:]]
+            parts = [env_minus(premises[0].env, term.binder)[1]] + [p.env for p in premises[1:]]
         case _:
             raise ValueError(f"unknown rule {rule}")
-    # the premises' environments are sorted and hold no empty entry
-    parts = [env for env in parts if env]
-    if len(parts) > 1:
-        total: Env = {}
-        for env in parts:
-            for k, m in env:
-                total[k] = mult_sum(total[k], m) if k in total else m
-        parts = [tuple(sorted(total.items()))]
-    return Derivation(rule, parts[0] if parts else (), term, ty, premises)
+    return Derivation(rule, env_sum(*parts), term, ty, premises)
 
 
 # ---------------------------------------------------------------------------

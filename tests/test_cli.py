@@ -14,6 +14,7 @@ import pytest
 from strata import alpha_eq, parse, show
 from strata import cli
 from strata.cli import main
+from strata.theories import NO_WITNESS
 
 from conftest import DELTA, ID, OMEGA_LOOP
 
@@ -117,6 +118,18 @@ class TestDeepInput:
         done = strata_process(command, spine, spine)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(answer)
+
+    @pytest.mark.parametrize("calculus", ["cbv", "cbn"])
+    def test_two_different_long_spines_are_substituted_in_a_loop(self, calculus):
+        # in a new process at the default recursion limit: the Böhm-out
+        # substitutes a selector for f down the whole spine
+        done = strata_process("judge", LONG_SPINE, LONG_SPINE + " y", "--calculus", calculus)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout.splitlines() == [
+            "conversion: not-equal (the terms have distinct normal forms)",
+            "mute: not-equal (the terms have distinct normal forms)",
+            f"observational: unknown ({NO_WITNESS})",
+        ]
 
     @pytest.mark.parametrize("calculus", ["cbv", "cbn"])
     @pytest.mark.parametrize("text,sort", [(LONG_SPINE, "ne"), (NESTED_BINDERS, "no")],

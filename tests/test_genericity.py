@@ -24,7 +24,7 @@ from strata import (
 from strata import genericity
 from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.reduce import step_to_dict
-from strata.terms import bot_positions, hole_positions, replace_at, subterms
+from strata.terms import bot_positions, hole_positions, level_of, plug, replace_at, subterms
 
 from conftest import ID, OMEGA_LOOP, p
 
@@ -159,6 +159,34 @@ class TestAxiomCampaign:
         assert report.ok, report.violations
         assert sum(met) >= 10, (sum(met), len(met))
 
+    @pytest.mark.parametrize("kind,law,count", [
+        ("approximate", "approximate_step", "steps"),
+        ("lift", "lift_step", "lifts"),
+        ("bno", "is_bno", "approximants"),
+        ("refinement", "strat_eq", "refinements"),
+    ])
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_a_failing_law_is_recorded_and_replays(self, calculus, kind, law, count,
+                                                   monkeypatch):
+        # each law made to fail everywhere: every check of it is a
+        # violation of its kind, and each replays as one
+        def fails(*args):
+            if law in ("is_bno", "strat_eq"):
+                return False
+            raise AssertionError(f"{law} fails")
+
+        monkeypatch.setattr(genericity, law, fails)
+        report = axiom_suite(calculus, n=200, seed=7)
+        found = [v for v in report.violations if v["kind"] == kind]
+        assert not report.ok and found == report.violations
+        assert report.checked["steps"] > 0
+        if kind == "lift":  # a lift is counted only when it holds
+            assert report.checked["lifts"] == 0
+        else:
+            assert len(found) == report.checked[count]
+        assert all(v["calculus"] == calculus for v in found)
+        assert all(reproduce_violation(v) is True for v in found)
+
     def test_seeded_campaigns_are_reproducible(self):
         a = axiom_suite(CBV, n=100, seed=3)
         b = axiom_suite(CBV, n=100, seed=3)
@@ -288,6 +316,46 @@ def test_genericity_holds_in_every_context_of_size_5(calculus, expected):
 ])
 def test_genericity_holds_in_every_context_of_size_6(calculus, expected):
     assert _gate_tallies(calculus, 6) == dict(zip(GATE_FILLERS, expected))
+
+
+# ROADMAP item 2, rule (b): a term with a meaningless subterm at a
+# level-0 position is meaningless.  In every context whose hole sits at
+# level 0, each gate filler that the oracle finds meaningless plugs to a
+# meaningless term; holes deeper down are tallied too, where a plugging
+# may be meaningful.
+def _surface_context_tally(calculus, max_context_size):
+    oracle = Oracle(calculus, GATE_FUEL)
+    mute = [f for f in map(p, GATE_FILLERS) if oracle.status(f) == "meaningless"]
+    tally = Counter()
+    for ctx in enumerate_contexts(max_context_size):
+        where = "deeper" if level_of(hole_positions(ctx)[0], calculus) else "level 0"
+        for filler in mute:
+            status = oracle.status(plug(ctx, filler))
+            assert where == "deeper" or status == "meaningless", (
+                show(filler), show(ctx, rename=False))
+            tally[where, status] += 1
+    return dict(tally)
+
+
+@pytest.mark.parametrize("calculus, expected", [
+    (CBV, {("level 0", "meaningless"): 720,
+           ("deeper", "meaningful"): 360, ("deeper", "meaningless"): 20}),
+    (CBN, {("level 0", "meaningless"): 420,
+           ("deeper", "meaningful"): 560, ("deeper", "meaningless"): 120}),
+])
+def test_a_mute_filler_at_level_0_mutes_every_context_of_size_5(calculus, expected):
+    assert _surface_context_tally(calculus, 5) == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("calculus, expected", [
+    (CBV, {("level 0", "meaningless"): 2784,
+           ("deeper", "meaningful"): 2864, ("deeper", "meaningless"): 296}),
+    (CBN, {("level 0", "meaningless"): 1984,
+           ("deeper", "meaningful"): 3304, ("deeper", "meaningless"): 656}),
+])
+def test_a_mute_filler_at_level_0_mutes_every_context_of_size_6(calculus, expected):
+    assert _surface_context_tally(calculus, 6) == expected
 
 
 # A census of meaningless fillers: every term of enumerate_terms(5) with

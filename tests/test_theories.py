@@ -27,9 +27,9 @@ from strata import (
     show,
 )
 from strata.approx import MEANINGFUL, MEANINGLESS
-from strata.bohm import diverger
-from strata.corpus import enumerate_contexts
-from strata.terms import App
+from strata.bohm import ROUNDS, _spine, diverger, separating_context
+from strata.corpus import enumerate_contexts, enumerate_terms
+from strata.terms import ABS, App, Var, fresh_name
 from strata.theories import CONTEXT_FUEL, NO_WITNESS, NOT_EQUAL, Certificate, Judgment, Verdict
 
 from conftest import DELTA, ID, OMEGA_LOOP, p
@@ -296,6 +296,63 @@ def test_same_value_pairs_by_value_stay_unknown_with_the_reason():
     # Böhm trees by value are out of reach of the construction
     j = judge(p(r"\f.\x.(f y)[y\f x]"), p(r"\f.\x.f (f x)"), CBV)
     assert j[HSTAR].result == "unknown" and j[HSTAR].reason == NO_WITNESS
+
+
+class CountingOracle(Oracle):
+    """An oracle at CONTEXT_FUEL that counts the calls made to it."""
+
+    def __init__(self, calculus):
+        super().__init__(calculus, CONTEXT_FUEL)
+        self.calls = Counter()
+
+    def meaning(self, t):
+        self.calls["meaning"] += 1
+        return super().meaning(t)
+
+    def status(self, t):
+        self.calls["status"] += 1
+        return super().status(t)
+
+
+def test_the_construction_gives_up_on_equal_arguments():
+    # by value (y x)[x0\y] reduces to y x, and x0[x0\y x] is stuck but
+    # read as y x: the normal forms differ, their spines do not
+    s, r = p(r"(y x)[x0\y]"), p(r"x0[x0\y x]")
+    oracle = CountingOracle(CBV)
+    assert not alpha_eq(oracle.meaning(s).witness.final, oracle.meaning(r).witness.final)
+    oracle.calls.clear()
+    assert separating_context(s, r, oracle) is None
+    assert oracle.calls == {"meaning": 2}  # one round, no diverger tried
+
+
+def test_the_construction_gives_up_when_no_diverger_separates():
+    oracle = CountingOracle(CBV)
+    assert separating_context(p(r"x[x0\y x]"), p(r"y[x0\x x]"), oracle) is None
+    # a round that pads both heads with an argument, then one that tries both divergers
+    assert oracle.calls == {"meaning": 4, "status": 4}
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_the_construction_gives_up_when_its_rounds_run_out(calculus):
+    oracle = CountingOracle(calculus)
+    assert separating_context(p(_church(30)), p(_church(31)), oracle) is None
+    assert oracle.calls["meaning"] == 2 * ROUNDS
+
+
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+def test_every_normal_form_the_construction_reads_has_a_variable_head(calculus):
+    """A level-0 normal form that is not an abstraction is a spine with
+    a variable head, as the construction reads it: for every meaningful
+    term of enumerate_terms(6), and each applied to a fresh variable."""
+    oracle, spines = Oracle(calculus, CONTEXT_FUEL), 0
+    for t in enumerate_terms(6):
+        for s in (t, App(t, Var(fresh_name("v", t.free)))):
+            report = oracle.meaning(s)
+            if report.status == MEANINGFUL and report.witness.final.core != ABS:
+                head, _ = _spine(report.witness.final)
+                assert type(head) is Var, show(s)
+                spines += 1
+    assert spines == 2051
 
 
 class TestCertificates:

@@ -4,6 +4,8 @@ derivation-level genericity transformer."""
 
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -50,7 +52,9 @@ from strata.types_core import (
     TyVar,
     deriv_from_dict,
     deriv_to_dict,
-    env_eq,
+    env_get,
+    env_minus,
+    env_sum,
     mk,
     valid_ty,
 )
@@ -131,7 +135,7 @@ class TestChecker:
 
     def test_rejects_a_wrong_type(self):
         d = spine_derivation()
-        bad = mk(d.rule, d.env_dict, d.term, EMPTY, d.premises)
+        bad = mk(d.rule, dict(d.env), d.term, EMPTY, d.premises)
         assert check_derivation(bad, SYS_V) != []
 
     def test_rejects_a_bad_rule_for_the_term(self):
@@ -209,12 +213,12 @@ REJECTIONS = [
      "root: environment is not the sum of the premises"),
     (SYS_V, mk("es", {"y": m(A)}, X_Y, m(B), (var("x", m(A), SYS_V), var("y", m(A), SYS_V))),
      "root: substitution preserves the type of its body"),
-    (SYS_V, mk("app", V_HEAD.env_dict, XY, A, (V_HEAD,)), "root: takes exactly two premises"),
-    (SYS_V, v_app(V_HEAD, var("z", EMPTY, SYS_V), V_HEAD.env_dict),
+    (SYS_V, mk("app", dict(V_HEAD.env), XY, A, (V_HEAD,)), "root: takes exactly two premises"),
+    (SYS_V, v_app(V_HEAD, var("z", EMPTY, SYS_V), dict(V_HEAD.env)),
      "root: second premise types the wrong term"),
-    (SYS_V, v_app(V_HEAD, var("y", A, SYS_V, env={}), V_HEAD.env_dict),
+    (SYS_V, v_app(V_HEAD, var("y", A, SYS_V, env={}), dict(V_HEAD.env)),
      "root: argument premise must type with a multiset"),
-    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), V_HEAD.env_dict, ty=B),
+    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), dict(V_HEAD.env), ty=B),
      "root: head must type with the singleton [M -> s]"),
     (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), {}),
      "root: environment is not the sum of the premises"),
@@ -232,7 +236,7 @@ REJECTIONS = [
     (SYS_N, n_app(N_HEAD, [var("z", B, SYS_N)], {"x": m(Arrow(m(B), A)), "z": m(B)}),
      "root: argument premise 0 types the wrong term"),
     (SYS_N, n_app(var("x", A, SYS_N), [], {"x": m(A)}), "root: head must type with an arrow"),
-    (SYS_N, n_app(N_HEAD, [], N_HEAD.env_dict),
+    (SYS_N, n_app(N_HEAD, [], dict(N_HEAD.env)),
      "root: argument family does not realize the arrow source"),
     (SYS_N, mk("es", {}, X_Y, A, (var("x", A, SYS_N),)),
      "root: argument family does not realize the binder's demand"),
@@ -246,15 +250,70 @@ def test_every_rejection_of_the_checker(system, d, error):
     assert error in check_derivation(d, system)
 
 
+N_APP = n_app(N_HEAD, [N_ARG], {"x": m(Arrow(m(B), A)), "y": m(B)})
+V_ES = mk("es", {"y": m(A)}, X_Y, m(A), (var("x", m(A), SYS_V), var("y", m(A), SYS_V)))
+
+
 @pytest.mark.parametrize("system,d", [
-    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), V_HEAD.env_dict)),
-    (SYS_V, mk("es", {"y": m(A)}, X_Y, m(A), (var("x", m(A), SYS_V), var("y", m(A), SYS_V)))),
-    (SYS_N, n_app(N_HEAD, [N_ARG], {"x": m(Arrow(m(B), A)), "y": m(B)})),
+    (SYS_V, v_app(V_HEAD, var("y", EMPTY, SYS_V), dict(V_HEAD.env))),
+    (SYS_V, V_ES),
+    (SYS_N, N_APP),
     (SYS_N, mk("es", {"y": m(A)}, X_Y, A, (var("x", A, SYS_N), var("y", A, SYS_N)))),
     (SYS_N, mk("abs", {}, N_ID, Arrow(m(A), A), (var("x", A, SYS_N),))),
 ])
 def test_the_uncorrupted_nodes_check(system, d):
     assert check_derivation(d, system) == []
+
+
+@pytest.mark.parametrize("system,d,env", [
+    (SYS_N, N_APP, N_APP.env[::-1]),  # unsorted
+    (SYS_N, N_APP, N_APP.env + (("z", EMPTY),)),
+    (SYS_V, var("x", EMPTY, SYS_V), (("x", EMPTY),)),
+    (SYS_V, V_ES, (("x", EMPTY),) + V_ES.env),
+])
+def test_the_checker_rejects_an_environment_out_of_its_stored_form(system, d, env):
+    """The environment is compared as stored: sorted by variable, with no
+    empty multiset.  A node that holds the same multisets in another form
+    is rejected."""
+    assert check_derivation(d, system) == []
+    assert {k: v for k, v in env if v.items} == dict(d.env) and env != d.env
+    assert check_derivation(Derivation(d.rule, env, d.term, d.ty, d.premises), system) != []
+
+
+def _random_env(rng):
+    """A random environment over a few names and type variables."""
+    return mk("var", {x: m(*(rng.choice((A, B, m(A))) for _ in range(rng.randint(0, 3))))
+                      for x in rng.sample("uvwxyz", rng.randint(0, 4))}, Var("x"), A).env
+
+
+def _counts(env):
+    return {x: Counter(ms.items) for x, ms in env}
+
+
+def _stored(env):
+    names = [x for x, _ in env]
+    return names == sorted(set(names)) and all(ms.items for _, ms in env)
+
+
+def test_environment_arithmetic_agrees_with_counters():
+    """env_sum, env_minus and env_get, which derive and the checker
+    share, against multisets as Counters."""
+    rng = random.Random(0)
+    for _ in range(2000):
+        envs = [_random_env(rng) for _ in range(rng.randint(0, 4))]
+        want = {}
+        for env in envs:
+            for x, c in _counts(env).items():
+                want[x] = want.get(x, Counter()) + c
+        total = env_sum(*envs)
+        assert _stored(total) and _counts(total) == want
+        x = rng.choice("uvwxyz")
+        for env in envs:
+            got, rest = env_minus(env, x)
+            assert got == env_get(env, x)
+            assert Counter(got.items) == _counts(env).get(x, Counter())
+            assert _stored(rest)
+            assert _counts(rest) == {y: c for y, c in _counts(env).items() if y != x}
 
 
 def test_only_system_n_checks_the_shape_of_types(monkeypatch):
@@ -638,7 +697,7 @@ class TestSerialization:
         blob = json.dumps(deriv_to_dict(d))
         d2 = deriv_from_dict(json.loads(blob))
         assert check_derivation(d2, SYS_V) == []
-        assert d2.ty == d.ty and env_eq(d2.env_dict, d.env_dict)
+        assert d2.ty == d.ty and d2.env == d.env
         assert alpha_eq(d2.term, d.term)
 
 
