@@ -30,6 +30,23 @@ subterm of t always sits under a bot of A(t), which is what the
 genericity check needs.  approximate_step pushes a single reduction
 step through A; lift_step replays a step of a partial term on any
 refinement of it.
+
+A is computed by asking the oracle once per level-0 region, by rule
+(b): a term with a meaningless subterm s at a level-0 position is
+meaningless, in both calculi.  A surface step inside s is a surface
+step of the whole term, as levels add up along a position.  Surface
+reduction is diamond, hence uniformly normalizing (Accattoli & Paolini,
+FLOPS 2012, by value; by name likewise), so if s has no surface normal
+form the whole term has none either.  Otherwise s reduces, inside the
+term, to a normal form with a bot at its level 0, and that bot survives
+every surface step outside it: by value a step erases only a
+substituted value, inside which nothing sits at level 0, and by name
+only a substitution's argument, which sits at level 1 or deeper; a dB
+step and a substitution keep a level-0 bot at level 0.  Every level-0
+subterm of a meaningful node is therefore meaningful.  The oracle would
+also have decided it within its fuel: in a diamond reduction every
+reduction to the normal form has the same length, and the subterm's,
+carried out inside the node and continued, is one of the node's.
 """
 
 from __future__ import annotations
@@ -155,21 +172,17 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
     table: dict[int, tuple[Term, Term]] = {}
     flat = _FLAT[oracle.calculus]
 
-    def go(t: Term, pos: tuple, normal: bool) -> Term:
+    def go(t: Term, pos: tuple, meaningful: bool) -> Term:
         """pos: t's position, as a chain (position of the parent, edge),
-        () at the root.  normal: t sits at level 0 of a node with no
-        surface redex and no bot at level 0, so t has neither and is
-        meaningful: the oracle is asked once per level-0 region, not
-        once per node."""
+        () at the root.  meaningful: t sits at level 0 of a meaningful
+        node, so t is meaningful by rule (b): the oracle is asked once
+        per level-0 region, not once per node."""
         hit = last.get(id(t)) or table.get(id(t))
         if hit is not None:
             table[id(t)] = hit
             return hit[1]
-        if normal:
-            status = MEANINGFUL
-        else:
-            status = oracle.status(t)
-            normal = status == MEANINGFUL and oracle._redex_level(t) > 0
+        status = MEANINGFUL if meaningful else oracle.status(t)
+        meaningful = status == MEANINGFUL
         if status == UNKNOWN:
             edges = []
             while pos:
@@ -181,15 +194,15 @@ def meaningful_approximant(t: Term, oracle: Oracle) -> Union[Term, Undetermined]
             return BOT
         match t:
             case Abs(x, b):
-                b2 = go(b, (pos, "b"), normal and flat["b"])
+                b2 = go(b, (pos, "b"), meaningful and flat["b"])
                 hat = t if b2 is b else Abs(x, b2)
             case App(f, a):
-                f2 = go(f, (pos, "l"), normal and flat["l"])
-                a2 = go(a, (pos, "r"), normal and flat["r"])
+                f2 = go(f, (pos, "l"), meaningful and flat["l"])
+                a2 = go(a, (pos, "r"), meaningful and flat["r"])
                 hat = t if f2 is f and a2 is a else App(f2, a2)
             case Es(b, x, a):
-                b2 = go(b, (pos, "s"), normal and flat["s"])
-                a2 = go(a, (pos, "e"), normal and flat["e"])
+                b2 = go(b, (pos, "s"), meaningful and flat["s"])
+                a2 = go(a, (pos, "e"), meaningful and flat["e"])
                 hat = t if b2 is b and a2 is a else Es(b2, x, a2)
             case _:
                 hat = t

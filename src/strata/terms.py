@@ -332,17 +332,26 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
                 a = go(t.arg, env)
                 f = t if f is t.fun and a is t.arg else App(f, a)
             return f
-        if kind is Abs:
-            y, b = under(t.binder, t.body, env)
-            return t if b is t.body else Abs(y, b)
+        if kind is Abs:  # down a chain of binders in a loop: nests outgrow the stack
+            chain = []
+            while type(t) is Abs and env and not t.free.isdisjoint(env):
+                y, env = under(t.binder, t.body, env)
+                chain.append((t, y))
+                t = t.body
+            b = go(t, env) if env else t
+            for t, y in reversed(chain):
+                b = t if b is t.body else Abs(y, b)
+            return b
         if kind is Es:
-            y, b = under(t.binder, t.body, env)
+            y, inner = under(t.binder, t.body, env)
+            b = go(t.body, inner) if inner else t.body
             a = go(t.arg, env)
             return t if b is t.body and a is t.arg else Es(b, y, a)
         return t
 
-    def under(y: str, b: Term, env: dict) -> tuple[str, Term]:
-        """The binder y and the body b it scopes over, substituted."""
+    def under(y: str, b: Term, env: dict) -> tuple[str, dict]:
+        """The binder y, renamed where it would capture, and the
+        substitution for the body b it scopes over."""
         if y in env:
             env = {x: hit for x, hit in env.items() if x != y}
         if any(y in fv for _, fv in env.values()):
@@ -352,7 +361,7 @@ def subst(t: Term, sigma: dict[str, Term]) -> Term:
                 y2 = fresh_name(y, fv_b.union(*(fv for _, fv in env.values())))
                 env[y] = (Var(y2), frozenset((y2,)))
                 y = y2
-        return (y, go(b, env)) if env else (y, b)
+        return y, env
 
     return go(t, env)
 

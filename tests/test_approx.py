@@ -38,9 +38,10 @@ from strata.approx import MEANINGFUL, MEANINGLESS, UNKNOWN
 from strata.corpus import enumerate_contexts, enumerate_terms
 from strata.genericity import OK
 from strata.reduce import DB, SV, Step
-from strata.terms import OMEGA, AlphaTable, canonical
+from strata.terms import OMEGA, Abs, AlphaTable, App, Es, canonical, show
 
 from conftest import DELTA, ID, OMEGA_LOOP
+from test_genericity import GATE_FILLERS
 
 GROWER = r"(\x.x x x) (\x.x x x)"
 
@@ -422,20 +423,24 @@ class TestApproximantTable:
         u = parse(r"\x.x (\y.y)")
         assert meaningful_approximant(u, cbv_oracle) is u
 
-    def test_a_step_asks_only_about_the_nodes_it_rebuilt(self, monkeypatch):
+    @pytest.mark.parametrize("text,level,asks", [
+        # only the new root: the contractum i[i\z] sits at its level 0
+        (rf"x (\y.y) (({ID}) z)", 0.0, 1),
+        # the new root, and the contractum across the binder
+        (rf"x (\y.({ID}) z)", 1.0, 2),
+    ], ids=["at-level-0", "across-a-binder"])
+    def test_a_step_asks_only_about_the_nodes_it_rebuilt(self, monkeypatch, text, level, asks):
         oracle = Oracle(CBV, 40)
-        step = reduce_once(parse(rf"x (\y.y) (({ID}) z)"), CBV, 0.0)
+        step = reduce_once(parse(text), CBV, level)
         meaningful_approximant(step.before, oracle)
         asked = []
         status = Oracle.status
         monkeypatch.setattr(Oracle, "status",
                             lambda self, t: asked.append(t) or status(self, t))
         meaningful_approximant(step.after, oracle)
-        # the new root and the contractum i[i\z], whose children were met
-        # before
-        assert len(asked) == 2
+        assert len(asked) == asks
         meaningful_approximant(step.after, oracle)
-        assert len(asked) == 2
+        assert len(asked) == asks
 
 
     def test_an_unpruned_loop_is_not_normalized_again(self, monkeypatch):
@@ -452,6 +457,71 @@ class TestApproximantTable:
                 # it was answers for it: no term is normalized twice
                 assert len(normalized) == len({canonical(u) for u in normalized}), (c, text)
                 normalized.clear()
+
+
+def _plain_approximant(t, oracle, pos=()):
+    """A(t) from the definition alone, asking the oracle at every node;
+    Undetermined at the first undecided node in the order
+    meaningful_approximant visits them."""
+    status = oracle.status(t)
+    if status == UNKNOWN:
+        return Undetermined(pos)
+    if status == MEANINGLESS:
+        return BOT
+    match t:
+        case Abs(x, b):
+            children, build = [("b", b)], lambda b: Abs(x, b)
+        case App(f, a):
+            children, build = [("l", f), ("r", a)], App
+        case Es(b, x, a):
+            children, build = [("s", b), ("e", a)], lambda b, a: Es(b, x, a)
+        case _:
+            return t
+    hats = []
+    for edge, child in children:
+        hat = _plain_approximant(child, oracle, pos + (edge,))
+        if isinstance(hat, Undetermined):
+            return hat
+        hats.append(hat)
+    return build(*hats)
+
+
+class TestRegionRule:
+    """meaningful_approximant asks the oracle once per level-0 region:
+    by rule (b), every level-0 subterm of a meaningful node is
+    meaningful."""
+
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_it_agrees_with_asking_at_every_node(self, calculus):
+        # the growing term, in the shapes of the gate fillers, leaves
+        # parts undecided at this fuel
+        growers = (GROWER, rf"\z.{GROWER}", rf"x ({GROWER})")
+        fillers = [parse(f) for f in GATE_FILLERS + growers]
+        terms = list(enumerate_terms(6))
+        terms += [plug(ctx, f) for ctx in enumerate_contexts(4) for f in fillers]
+        region, plain = Oracle(calculus, 30), Oracle(calculus, 30)
+        undetermined = 0
+        for t in terms:
+            a, b = meaningful_approximant(t, region), _plain_approximant(t, plain)
+            assert _same_approximant(a, b), show(t)
+            undetermined += isinstance(a, Undetermined)
+        assert (len(terms), undetermined) == (2096, 144)
+
+    @pytest.mark.parametrize("calculus,text,asks", [
+        # the root and the body of each \i.i: the arguments sit at the
+        # root's level 0, the bodies across a binder
+        (CBV, rf"x (({ID}) z) (({ID}) w)", 3),
+        # the root and each of the three arguments, which sit at level 1
+        # by name
+        (CBN, rf"({ID}) x (({ID}) z)", 4),
+    ])
+    def test_oracle_questions(self, monkeypatch, calculus, text, asks):
+        asked = []
+        status = Oracle.status
+        monkeypatch.setattr(Oracle, "status",
+                            lambda self, t: asked.append(t) or status(self, t))
+        meaningful_approximant(parse(text), Oracle(calculus, 40))
+        assert len(asked) == asks
 
 
 class TestApproximateStep:

@@ -132,6 +132,16 @@ class TestDeepInput:
         ]
 
     @pytest.mark.parametrize("calculus", ["cbv", "cbn"])
+    @pytest.mark.parametrize("command,last", [("meaning", "meaningful"),
+                                              ("reduce", "outcome: normal")])
+    def test_a_chain_of_binders_is_substituted_in_a_loop(self, command, last, calculus):
+        # in a new process at the default recursion limit: the
+        # substitution step carries z for y down the whole chain
+        done = strata_process(command, rf"(\y.{NESTED_BINDERS[:-2]}y) z", "--calculus", calculus)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == last
+
+    @pytest.mark.parametrize("calculus", ["cbv", "cbn"])
     @pytest.mark.parametrize("text,sort", [(LONG_SPINE, "ne"), (NESTED_BINDERS, "no")],
                              ids=["spine", "chain"])
     def test_nf_check_reads_spines_and_chains_in_loops(self, text, sort, calculus):

@@ -15,9 +15,15 @@ It also makes one ``--trace 1 --seconds 0`` run per side and workload
 at that seed and records its ``reduce.steps`` and every ``.calls``
 counter, which show where work was saved on any host, and the
 ``tools/answer_digest.py`` digest of one round's answers, so that a
-report shows by itself whether both sides gave the same answers.  It
-also times ``enumerate_terms(9)`` in a fresh process per side and run,
-with that process's peak RSS.  Standard library only.
+report shows by itself whether both sides gave the same answers.  For
+the garbage collector, it runs one round per side and workload in a
+fresh process, after an untimed one, the way ``perfbench/rounds.py``
+runs it, and records through ``gc.callbacks`` the collector's seconds
+inside timed queries, its seconds in all, and its collections per
+generation: a full collection that lands inside a timed query, rather
+than in an untimed answer check, moves a workload's rate.  It also
+times ``enumerate_terms(9)`` in a fresh process per side and run, with
+that process's peak RSS.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,6 +52,53 @@ print(n, time.perf_counter() - start,
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
+COLLECTOR = """
+import gc, json, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import rounds, tracing, workloads
+make_inputs, make_round = workloads.WORKLOADS[sys.argv[1]]
+items = make_inputs(int(sys.argv[2]))
+terms = workloads.parse_inputs(workloads.input_strings(items))
+steps = tracing.StepCounter()
+steps.install()
+rounds.run_round(make_round(items, terms), rounds.Tally(), steps)
+record = {"in_query_s": 0.0, "total_s": 0.0, "collections": [0, 0, 0]}
+inside = started = 0
+
+
+def timed(run):
+    def run_inside():
+        global inside
+        inside = 1
+        try:
+            return run()
+        finally:
+            inside = 0
+    return run_inside
+
+
+def on_gc(phase, info):
+    global started
+    if phase == "start":
+        started = time.perf_counter()
+        return
+    seconds = time.perf_counter() - started
+    record["total_s"] += seconds
+    record["in_query_s"] += seconds * inside
+    record["collections"][info["generation"]] += 1
+
+
+queries = make_round(items, terms)
+for q in queries:
+    q.run = timed(q.run)
+tally = rounds.Tally()
+gc.callbacks.append(on_gc)
+rounds.run_round(queries, tally, steps)
+gc.callbacks.remove(on_gc)
+record["query_s"] = sum(tally.rounds[0])
+print(json.dumps(record))
+"""
+
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float = SECONDS,
                   trace: int = 0) -> dict:
@@ -67,6 +120,13 @@ def answer_digest(root: Path, workload: str, seed: int) -> str:
     argv = [sys.executable, str(Path(__file__).with_name("answer_digest.py")), str(root),
             "--workload", workload, "--seed", str(seed)]
     return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def collector(root: Path, workload: str, seed: int) -> dict:
+    """The garbage collector's work in one timed round, in a fresh process."""
+    done = subprocess.run([sys.executable, "-c", COLLECTOR, workload, str(seed)], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def run_enumerate(root: Path) -> dict:
@@ -105,7 +165,8 @@ def main() -> None:
         "settings": {"pairs": PAIRS, "seed": args.seed, "seconds": SECONDS,
                      "trace": 0, "quartiles": "statistics.quantiles(n=4, inclusive)",
                      "counters": "one --trace 1 --seconds 0 run per side",
-                     "answers": "tools/answer_digest.py, one round per side"},
+                     "answers": "tools/answer_digest.py, one round per side",
+                     "collector": "gc.callbacks over one round per side, after an untimed one"},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system(), "cpus": os.cpu_count()},
         "workloads": {},
@@ -132,6 +193,7 @@ def main() -> None:
                          for side in sides},
             "answers": {side: answer_digest(sides[side], name, args.seed)
                         for side in sides},
+            "collector": {side: collector(sides[side], name, args.seed) for side in sides},
         }
     enum = {side: [] for side in sides}
     for i in range(PAIRS):
