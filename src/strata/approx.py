@@ -13,15 +13,10 @@ The leftmost-outermost surface step is a function of the term, up to
 alpha, so a term's surface trace runs on through the trace of each of
 its reducts, and a reduct has the status of the term.  An oracle
 therefore learns the status of every term a decided trace passes
-through, with a bound r on the steps that term's own trace takes to
-decide, and a later trace stops at the first such term it meets after k
-steps with k + r within the fuel: run to the end, it would have decided
-by step k + r, the same way.  For a trace s_0 ... s_n decided at step
-n, r is n - j for s_j when the trace ends in a normal form or s_j comes
-before the cycle; on a cycle back to s_c, with j > c, the trace of s_j
-goes once around it, and r is n - c; in a trace that stopped after k
-steps at a term with bound r', r is k - j + r', an upper bound.  Every
-r is at most the fuel.
+through, and the trace of each such term decides the same way within
+the same fuel: for a trace s_0 ... s_n decided at step n, the trace of
+s_j is the suffix from s_j, of n - j steps, or, when the trace cycles
+back to s_c with j > c, goes once round the cycle, in n - c <= n steps.
 
 The meaningful approximant A(t) prunes the meaningless parts of a term
 down to bot: A(t) = bot when t is meaningless, and otherwise the same
@@ -88,15 +83,14 @@ class MeaningReport:
 
 class Oracle:
     """Meaningfulness oracle for one calculus.  Its one table maps terms
-    up to alpha to their status and the bound r on their own traces: the
-    terms of decided traces, and each start that ran out of fuel as
-    unknown with r = fuel, too late for a run to join at after a step."""
+    up to alpha to their status: the terms of decided traces, and each
+    start that ran out of fuel as unknown."""
 
     def __init__(self, calculus: str, fuel: int | None = None):
         self.calculus = calculus
         self.fuel = check_fuel(fuel)
         self._redex_level = min_level_reader(calculus)
-        self._known = AlphaTable()  # term -> (status, r)
+        self._known = AlphaTable()  # term -> status
         # the last approximant computed: for every node met on the way,
         # by id(node), the node itself (so that its id stays taken) and
         # its approximant
@@ -106,41 +100,26 @@ class Oracle:
         """The status of t, witnessed by its whole surface trace unless
         the table has it as unknown; nothing of the report is kept."""
         known = self._known.get(t)
-        if known is not None and known[0] == UNKNOWN:
+        if known == UNKNOWN:
             return MeaningReport(UNKNOWN)
         trace = normalize(t, self.calculus, 0.0, self.fuel)
-        status = self._learn(trace) if known is None else surface_status(trace, self.calculus)
+        status = known or self._learn(trace)
         return MeaningReport(status, None if status == UNKNOWN else trace)
 
     def status(self, t: Term) -> str:
-        """The status of meaning(t), from a trace that stops at the first
-        term whose status is known early enough to be the same."""
+        """The status of meaning(t), from the table or from t's trace."""
         if self._redex_level(t) > 0:  # no surface redex: t is its own normal form
             return surface_status(t, self.calculus)
-        known = self._known.get(t)
-        if known is not None:
-            return known[0]
-        return self._learn(normalize(t, self.calculus, 0.0, self.fuel, self._known))
+        return self._known.get(t) or self._learn(normalize(t, self.calculus, 0.0, self.fuel))
 
     def _learn(self, trace: Trace) -> str:
-        """Record every term of a decided trace but its last (a normal
-        form, a repeat or a known term) with its status and its bound r,
-        or the start of a trace that ran out of fuel (it met no known
-        term in time, so it is the whole trace) as unknown; returns the
-        status.  A term met again after a join it was too late for keeps
-        its first bound."""
-        end = len(trace.steps)
-        if trace.outcome == "joined":
-            status, rest = self._known.get(trace.final)
-            end += rest
-        else:
-            status = surface_status(trace, self.calculus)
-        if status == UNKNOWN:
-            self._known.add(trace.start, (UNKNOWN, self.fuel))
-            return UNKNOWN
-        loop = len(trace.steps) if trace.cycle_start is None else trace.cycle_start
-        for j, s in enumerate(trace.terms[:len(trace.steps)]):
-            self._known.add(s, (status, end - min(j, loop)))
+        """Record the status of every term of a decided trace but its
+        last (a normal form, or a repeat), or of the start alone of a
+        trace that ran out of fuel; returns the status."""
+        status = surface_status(trace, self.calculus)
+        learned = trace.terms[:len(trace.steps)] if status != UNKNOWN else (trace.start,)
+        for s in learned:
+            self._known.add(s, status)
         return status
 
 

@@ -248,9 +248,9 @@ def reduce_once(t: Term, calculus: str, level: Level) -> Step | None:
 class Trace:
     """Outcome of a bounded normalization run.
 
-    outcome is one of "normal", "cycle", "fuel", and "joined" for a run
-    that stopped at a term of its known table; for a cycle, cycle_start
-    is the index in terms of the first occurrence of the repeated term.
+    outcome is one of "normal", "cycle", "fuel"; for a cycle,
+    cycle_start is the index in terms of the first occurrence of the
+    repeated term.
     """
 
     start: Term
@@ -279,8 +279,7 @@ def check_fuel(fuel: int | None) -> int:
     return fuel
 
 
-def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None,
-              known: AlphaTable | None = None) -> Trace:
+def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None) -> Trace:
     """Reduce with the leftmost-outermost strategy until a normal form,
     a repeated term (up to alpha), or fuel exhaustion.
 
@@ -291,13 +290,7 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None,
     The terms met so far are kept in an AlphaTable, so the first repeat
     found is the first term alpha-equal to an earlier one.
     leftmost_redex and apply_step are looked up at each call, so a
-    caller may patch them to observe every step.
-
-    known maps terms to pairs whose second item bounds the steps the
-    term's own run takes to end in a normal form or a cycle.  With it,
-    the run stops as "joined" at the first term after the start whose
-    bound, added to the steps taken, is within the fuel: the whole run
-    would have ended as that term's does, within the fuel."""
+    caller may patch them to observe every step."""
     fuel = check_fuel(fuel)
     steps: list[Step] = []
     seen = AlphaTable([(t, 0)])  # each term met, with its index
@@ -314,10 +307,6 @@ def normalize(t: Term, calculus: str, level: Level, fuel: int | None = None,
         i = seen.get(cur)
         if i is not None:
             return Trace(t, calculus, level, tuple(steps), "cycle", i)
-        if known is not None:
-            hit = known.get(cur)
-            if hit is not None and len(steps) + hit[1] <= fuel:
-                return Trace(t, calculus, level, tuple(steps), "joined")
         seen.add(cur, len(steps))
 
 

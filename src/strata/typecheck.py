@@ -162,18 +162,22 @@ def _synth_v(t: Term, demand: Ty) -> Derivation:
     Only level-0 call-by-value normal forms come here: neutral spines
     end in a variable (which absorbs any demand) and abstractions are
     only ever demanded the empty multiset, typing with an empty family.
+    The head path is read in a loop; only arguments recurse.
     """
-    match t:
-        case Var(_):
-            return derive("var", t, demand)
-        case Abs(_, _):
-            return derive("abs", t, EMPTY)
-        case App(f, a):
-            df = _synth_v(f, Mult((Arrow(EMPTY, demand),)))
-            return derive("app", t, demand, (df, _synth_v(a, EMPTY)))
-        case Es(b, x, a):
-            db = _synth_v(b, demand)
-            return derive("es", t, demand, (db, _synth_v(a, env_get(db.env, x))))
+    path = []  # the nodes above the head, with their demands
+    while type(t) in (App, Es):
+        path.append((t, demand))
+        if type(t) is App:
+            t, demand = t.fun, Mult((Arrow(EMPTY, demand),))
+        else:
+            t = t.body
+    d = derive("abs", t, EMPTY) if type(t) is Abs else derive("var", t, demand)
+    for node, demand in reversed(path):
+        if type(node) is App:
+            d = derive("app", node, demand, (d, _synth_v(node.arg, EMPTY)))
+        else:
+            d = derive("es", node, demand, (d, _synth_v(node.arg, env_get(d.env, node.binder))))
+    return d
 
 
 def _synth_n(t: Term) -> Derivation:
@@ -181,22 +185,26 @@ def _synth_n(t: Term) -> Derivation:
 
     Abstractions are synthesized bottom up; the one neutral spine under
     them is given an arrow chain of empty sources ending in the type
-    variable a0, so the arguments need no derivation at all.
+    variable a0, so the arguments need no derivation at all.  The chain
+    of binders and the spine are read in loops.
     """
-
-    def neutral(t: Term, demand: Ty) -> Derivation:
-        match t:
-            case Var(_):
-                return derive("var", t, demand)
-            case App(f, _):
-                return derive("app", t, demand, (neutral(f, Arrow(EMPTY, demand)),))
-
-    match t:
-        case Abs(x, b):
-            db = _synth_n(b)
-            return derive("abs", t, Arrow(env_get(db.env, x), db.ty), (db,))
-        case _:
-            return neutral(t, TyVar("a0"))
+    binders = []
+    while type(t) is Abs:
+        binders.append(t)
+        t = t.body
+    spine = []
+    while type(t) is App:
+        spine.append(t)
+        t = t.fun
+    ty: Ty = TyVar("a0")
+    for _ in spine:
+        ty = Arrow(EMPTY, ty)
+    d = derive("var", t, ty)
+    for node in reversed(spine):
+        d = derive("app", node, d.ty.tgt, (d,))
+    for node in reversed(binders):
+        d = derive("abs", node, Arrow(env_get(d.env, node.binder), d.ty), (d,))
+    return d
 
 
 def synth_nf_derivation(t: Term, calculus: str) -> Derivation:

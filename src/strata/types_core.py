@@ -34,7 +34,8 @@ class Mult:
     items: tuple["Ty", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(sorted(self.items, key=ty_key)))
+        if len(self.items) > 1:  # one item is sorted already, however deep
+            object.__setattr__(self, "items", tuple(sorted(self.items, key=ty_key)))
 
 
 @dataclass(frozen=True)
@@ -225,13 +226,22 @@ def parse_ty(text: str) -> Ty:
 
 
 def show_ty(t: Ty) -> str:
-    match t:
-        case TyVar(n):
-            return n
-        case Mult(items):
-            return "[" + ", ".join(show_ty(i) for i in items) + "]"
-        case Arrow(src, tgt):
-            return f"{show_ty(src)} -> {show_ty(tgt)}"
+    out: list[str] = []
+    todo: list[Ty | str] = [t]  # what is left to print, the next last
+    while todo:
+        match todo.pop():
+            case str(text):
+                out.append(text)
+            case TyVar(n):
+                out.append(n)
+            case Mult(items):
+                out.append("[")
+                todo.append("]")
+                for i, item in enumerate(reversed(items)):
+                    todo += (", ", item) if i else (item,)
+            case Arrow(src, tgt):
+                todo += (tgt, " -> ", src)
+    return "".join(out)
 
 
 def deriv_to_dict(d: Derivation) -> dict:

@@ -44,6 +44,7 @@ from conftest import DELTA, ID, OMEGA_LOOP
 from test_genericity import GATE_FILLERS
 
 GROWER = r"(\x.x x x) (\x.x x x)"
+CHURCH_SUM = r"(\m.\n.\f.\x.m f (n f x)) (\f.\x.f x) (\f.\x.f (f x))"
 
 
 class TestOracle:
@@ -127,21 +128,20 @@ class TestOracle:
             Oracle("cbx").meaning(parse(text))
 
 
-# The oracle's table of known statuses: a trace stops at a term an
-# earlier trace decided only when its bound, added to the steps taken,
-# is within the fuel, so every answer is that of a trace run in full.
+# The oracle's table of known statuses: every term of a decided trace
+# but its last, whose own trace decides the same way within the same
+# fuel, so a shared oracle answers every term as a fresh run does, at
+# each fuel and at its boundary.
 
-JOIN_FUELS = (0, 1, 2, 3, 5, 8, 20, 60)
-JOIN_FILLERS = (OMEGA_LOOP, GROWER, r"\z.z",
-                r"(\m.\n.\f.\x.m f (n f x)) (\f.\x.f x) (\f.\x.f (f x))",
-                rf"x ({OMEGA_LOOP})")
+SHARED_FUELS = (0, 1, 2, 3, 5, 8, 20, 60)
+SHARED_FILLERS = (OMEGA_LOOP, GROWER, r"\z.z", CHURCH_SUM, rf"x ({OMEGA_LOOP})")
 
 
-def _join_corpus(term_size, context_size):
+def _shared_corpus(term_size, context_size):
     """Every term up to term_size and every context up to context_size
     plugged with each filler, shuffled, so that the traces of terms
     asked later run into the reducts of terms asked earlier."""
-    fillers = [parse(f) for f in JOIN_FILLERS]
+    fillers = [parse(f) for f in SHARED_FILLERS]
     corpus = list(enumerate_terms(term_size))
     corpus += [plug(ctx, f) for ctx in enumerate_contexts(context_size) for f in fillers]
     random.Random(0).shuffle(corpus)
@@ -160,25 +160,43 @@ def _status_mismatches(corpus, calculus, fuel):
 
 @pytest.mark.parametrize("calculus", [CBV, CBN])
 def test_a_shared_oracle_answers_as_a_fresh_normalize(calculus):
-    corpus = _join_corpus(6, 4)
+    corpus = _shared_corpus(6, 4)
     assert len(corpus) == 1952
-    for fuel in JOIN_FUELS:
+    for fuel in SHARED_FUELS:
         assert _status_mismatches(corpus, calculus, fuel) == [], fuel
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("calculus", [CBV, CBN])
 def test_a_shared_oracle_answers_as_a_fresh_normalize_on_larger_terms(calculus):
-    corpus = _join_corpus(7, 5)
-    for fuel in JOIN_FUELS:
+    corpus = _shared_corpus(7, 5)
+    for fuel in SHARED_FUELS:
         assert _status_mismatches(corpus, calculus, fuel) == [], fuel
 
 
-class TestJoinOneStepTooLate:
-    """A trace that meets a known term one step too late for the fuel
-    would decide one step after the fuel runs out: it stays unknown."""
+@pytest.mark.parametrize("calculus", [CBV, CBN])
+@pytest.mark.parametrize("text,status", [(OMEGA_LOOP, MEANINGLESS), (CHURCH_SUM, MEANINGFUL)],
+                         ids=["omega", "church-sum"])
+def test_every_term_of_a_decided_trace_but_the_last_is_learned(calculus, text, status,
+                                                                 monkeypatch):
+    oracle = Oracle(calculus, 40)
+    assert oracle.status(parse(text)) == status
+    trace = normalize(parse(text), calculus, 0.0, 40)
+    assert len(trace.steps) >= 2
 
-    def _too_late(self, calculus, learned, text, fuel):
+    def refuse(*args):
+        raise AssertionError("normalize was called")
+
+    monkeypatch.setattr(strata.approx, "normalize", refuse)
+    assert [oracle.status(s) for s in trace.terms[:-1]] == [status] * len(trace.steps)
+
+
+class TestOneStepPastTheFuel:
+    """A term whose trace decides one step after the fuel runs out
+    stays unknown, even in an oracle that has learned a reduct of it
+    from a decided trace; at one more fuel it is decided."""
+
+    def _one_past(self, calculus, learned, text, fuel):
         t = parse(text)
         assert normalize(t, calculus, 0.0, fuel).outcome == "fuel"
         assert normalize(t, calculus, 0.0, fuel + 1).outcome == "cycle"
@@ -191,17 +209,17 @@ class TestJoinOneStepTooLate:
 
     @pytest.mark.parametrize("calculus", [CBV, CBN])
     def test_a_term_on_a_cycle(self, calculus):
-        # after Omega's trace, its reduct (x x)[x\w.w w] is known with
-        # bound 2 (once round the cycle), not 1; the term below reaches
-        # it in 2 steps and decides at step 4
-        self._too_late(calculus, OMEGA_LOOP, rf"(\y.(x x)[x\{DELTA}]) z", 3)
+        # Omega's trace teaches its reduct (x x)[x\w.w w]; the term
+        # below reaches that reduct in 2 steps, goes once round the
+        # cycle in 2 more and decides at step 4
+        self._one_past(calculus, OMEGA_LOOP, rf"(\y.(x x)[x\{DELTA}]) z", 3)
 
     @pytest.mark.parametrize("calculus", [CBV, CBN])
     def test_a_term_before_a_cycle(self, calculus):
-        # (\y.Omega) z, two steps before its cycle, decides at step 4;
-        # the term below reaches it in 2 steps and decides at step 6
+        # (\y.Omega) z decides at step 4; the term below reaches it in 2
+        # steps and decides at step 6
         learned = rf"(\y.{OMEGA_LOOP}) z"
-        self._too_late(calculus, learned, rf"(\u.{learned}) v", 5)
+        self._one_past(calculus, learned, rf"(\u.{learned}) v", 5)
 
 
 def _refuse_canonical(monkeypatch):

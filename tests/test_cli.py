@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from strata import alpha_eq, parse, show
-from strata import cli
+from strata import cli, genericity
 from strata.cli import main
 from strata.theories import NO_WITNESS
 
@@ -150,6 +150,20 @@ class TestDeepInput:
         done = strata_process("nf-check", text, "--calculus", calculus, "--level", "omega")
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"{sort}\n"
+
+    @pytest.mark.parametrize("text,calculus,typing", [
+        (LONG_SPINE, "cbv", "f: " + "[[] -> " * 1200 + "[]" + "]" * 1200 + " |- {} : []"),
+        (LONG_SPINE, "cbn", "f: [" + "[] -> " * 1200 + "a0] |- {} : a0"),
+        (NESTED_BINDERS, "cbv", ". |- {} : []"),
+        (NESTED_BINDERS, "cbn", ". |- {} : [a0] -> " + "[] -> " * 1199 + "a0"),
+    ], ids=["spine-cbv", "spine-cbn", "chain-cbv", "chain-cbn"])
+    def test_type_infer_reads_spines_and_chains_in_loops(self, text, calculus, typing):
+        # in a new process at the default recursion limit: synthesis
+        # walks the head path, the chain and the spine in loops, and a
+        # type 1,200 arrows deep is printed and built without recursion
+        done = strata_process("type-infer", text, "--calculus", calculus)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == typing.format(show(parse(text), rename=False)) + "\n"
 
 
 class TestFreshProcess:
@@ -372,6 +386,13 @@ class TestGenericityAndJudge:
                            "--level", "0", "--calculus", calculus)
         assert code == 0 and "violated" not in out and out.count(": ok") == 5
 
+    def test_genericity_violated_exits_1(self, capsys, monkeypatch):
+        # a wrong partial-normal-form check makes every probe violated
+        monkeypatch.setattr(genericity, "is_bno", lambda *args: False)
+        code, out, _ = run(capsys, "genericity", OMEGA_LOOP,
+                           "--context", r"(\y.\i.i) (\z.@)", "--level", "0")
+        assert code == 1 and out.count(": violated (partial endpoint is not") == 5
+
     def test_genericity_unknown_exits_2(self, capsys):
         code, out, _ = run(capsys, "genericity", r"(\x.x x x) (\x.x x x)",
                            "--context", "@", "--fuel", "10")
@@ -412,6 +433,14 @@ class TestAxioms:
     def test_small_campaign(self, capsys):
         code, out, _ = run(capsys, "axioms", "-n", "50", "--seed", "1")
         assert code == 0 and "ok" in out
+
+    def test_a_violation_is_printed_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(genericity, "is_bno", lambda *args: False)
+        code, out, _ = run(capsys, "axioms", "-n", "50", "--seed", "1")
+        lines = out.splitlines()
+        assert code == 1 and lines[0].startswith("checked: ") and lines[-1] == "failed"
+        assert lines[1:-1] and all(line.startswith("violation: {'kind': 'bno'")
+                                   for line in lines[1:-1])
 
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_a_count_below_one_is_a_usage_error(self, capsys, count):

@@ -13,6 +13,7 @@ from strata import (
     DEFAULT_PROBES,
     OMEGA,
     Oracle,
+    Undetermined,
     alpha_eq,
     axiom_suite,
     normalize,
@@ -187,6 +188,25 @@ class TestAxiomCampaign:
         assert all(v["calculus"] == calculus for v in found)
         assert all(reproduce_violation(v) is True for v in found)
 
+    @pytest.mark.parametrize("calculus", [CBV, CBN])
+    def test_undetermined_checks_are_skipped_uncounted(self, calculus, monkeypatch):
+        # at oracle fuel 1 many steps and normal forms are undetermined:
+        # each is skipped, and only the decided ones are counted
+        results = {"approximate_step": [], "meaningful_approximant": []}
+        for law, seen in results.items():
+            def counting(*args, law=getattr(genericity, law), seen=seen):
+                seen.append(law(*args))
+                return seen[-1]
+            monkeypatch.setattr(genericity, law, counting)
+        monkeypatch.setattr(genericity, "AXIOM_FUEL", 1)
+        report = axiom_suite(calculus, 300, 0)
+        assert report.ok, report.violations
+        for law, count in (("approximate_step", "steps"),
+                           ("meaningful_approximant", "approximants")):
+            skipped = sum(isinstance(r, Undetermined) for r in results[law])
+            assert skipped > 0, law
+            assert report.checked[count] == len(results[law]) - skipped, law
+
     def test_seeded_campaigns_are_reproducible(self):
         a = axiom_suite(CBV, n=100, seed=3)
         b = axiom_suite(CBV, n=100, seed=3)
@@ -237,6 +257,10 @@ class TestCertificateReplay:
 
     def test_sound_steps_replay_as_non_violations(self):
         cert, step = self._step_cert("approximate", CBV, rf"({ID}) ({ID})")
+        assert reproduce_violation(cert) is False
+        # a step lifts onto its own source, which refines itself
+        cert, step = self._step_cert("lift", CBV, rf"({ID}) ({ID})")
+        cert["refined"] = show(step.before)
         assert reproduce_violation(cert) is False
 
         bno_cert = {"kind": "bno", "calculus": CBN, "level": 0.0,
